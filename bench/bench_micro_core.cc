@@ -90,11 +90,10 @@ void BM_ResidualCandidatePolicy(benchmark::State& state) {
   for (UserId u = 0; u < 2000; ++u) group.push_back(u);
   const int depth = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    if (depth == 0) {
-      benchmark::DoNotOptimize(scorer.TopKAllItems(group, 5));
-    } else {
-      benchmark::DoNotOptimize(scorer.TopKUnionCandidates(group, 5, depth));
-    }
+    benchmark::DoNotOptimize(
+        scorer.TopK(group, 5,
+                    depth == 0 ? grouprec::CandidateFilter::AllItems()
+                               : grouprec::CandidateFilter::Union(depth)));
   }
 }
 BENCHMARK(BM_ResidualCandidatePolicy)->Arg(0)->Arg(5)->Arg(20)->Arg(100);

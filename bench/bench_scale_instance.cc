@@ -7,9 +7,11 @@
 //     overhead the cache is charged for mmap — the kernel owns those
 //     pages);
 //   * build/load wall time;
-//   * TopKItemRange scan throughput (rating cells visited per second)
-//     through grouprec::GroupScorer — the branch-light loop the compact
-//     layout exists for;
+//   * full-catalogue top-k cost through grouprec::GroupScorer::TopK, as
+//     ns per call and ns per rated cell of the probe groups (the kernel
+//     visits rated cells only, so a per-second rate over the catalogue
+//     would price the wrong thing; bench_topk_kernel sweeps the
+//     catalogue size);
 //   * whether the backend's top-k lists are identical to dense (the
 //     generator emits integer-grid ratings, which the quantizer
 //     round-trips exactly, so every backend must agree item-for-item
@@ -72,15 +74,17 @@ std::vector<std::vector<UserId>> ProbeGroups(std::int32_t num_users) {
 }
 
 struct ScanResult {
-  double cells_per_sec = 0.0;
+  double ns_per_call = 0.0;
+  double ns_per_cell = 0.0;
   std::vector<grouprec::GroupTopK> lists;
 };
 
-/// Scans every probe group's full item range `reps` times through
-/// TopKItemRange and returns throughput plus the (rep-invariant) lists.
-ScanResult ScanThroughput(const data::RatingStore& store,
-                          const std::vector<std::vector<UserId>>& groups,
-                          int reps) {
+/// Runs every probe group's full-catalogue top-k `reps` times and returns
+/// the mean cost per call and per rated cell plus the (rep-invariant)
+/// lists.
+ScanResult ScanCost(const data::RatingStore& store,
+                    const std::vector<std::vector<UserId>>& groups,
+                    int reps) {
   grouprec::GroupScorer::Options options;
   grouprec::GroupScorer scorer(store, options);
   ScanResult result;
@@ -92,13 +96,12 @@ ScanResult ScanThroughput(const data::RatingStore& store,
   for (int rep = 0; rep < reps; ++rep) {
     result.lists.clear();
     for (const auto& group : groups) {
-      result.lists.push_back(
-          scorer.TopKItemRange(group, /*k=*/10, 0, store.num_items()));
+      result.lists.push_back(scorer.TopK(group, /*k=*/10));
     }
   }
-  const double seconds = stopwatch.ElapsedSeconds();
-  result.cells_per_sec =
-      seconds > 0.0 ? static_cast<double>(cells) * reps / seconds : 0.0;
+  const double ns = stopwatch.ElapsedSeconds() * 1e9;
+  result.ns_per_call = ns / static_cast<double>(groups.size() * reps);
+  result.ns_per_cell = ns / static_cast<double>(cells * reps);
   return result;
 }
 
@@ -122,7 +125,8 @@ struct BackendRow {
   std::int64_t bytes = 0;          // full in-RAM footprint (ByteSize)
   std::int64_t charged_bytes = 0;  // what the serve cache is charged
   double load_seconds = 0.0;
-  double scan_cells_per_sec = 0.0;
+  double ns_per_call = 0.0;
+  double ns_per_cell = 0.0;
   long long rss_delta_bytes = 0;
   bool topk_identical = true;
 };
@@ -132,7 +136,7 @@ struct BackendRow {
 int main() {
   bench::PrintHeader(
       "scale_instance", "DESIGN.md §14 (storage backends)",
-      "bytes/user, load time, and TopKItemRange scan throughput of the "
+      "bytes/user, load time, and full-catalogue top-k ns/call of the "
       "dense, compact, and mmap backends on a GenerateScaleSparse "
       "population; GF_BENCH_SCALE 1.0 = one million users");
 
@@ -141,7 +145,8 @@ int main() {
   config.num_users = bench::Scaled(1'000'000, scale, /*floor=*/1000);
   config.num_items = bench::Scaled(20'000, scale, /*floor=*/500);
   if (config.num_items > 65535) config.num_items = 65535;
-  const int reps = scale >= 1.0 ? 3 : 5;
+  // Calls cost microseconds, so enough reps to time them.
+  const int reps = 500;
 
   std::vector<BackendRow> rows;
   const auto groups = ProbeGroups(config.num_users);
@@ -157,8 +162,9 @@ int main() {
   dense_row.charged_bytes = dense.ByteSize();
   dense_row.rss_delta_bytes = CurrentRssBytes() - rss_before;
   const ScanResult dense_scan =
-      ScanThroughput(data::RatingStore(dense), groups, reps);
-  dense_row.scan_cells_per_sec = dense_scan.cells_per_sec;
+      ScanCost(data::RatingStore(dense), groups, reps);
+  dense_row.ns_per_call = dense_scan.ns_per_call;
+  dense_row.ns_per_cell = dense_scan.ns_per_cell;
   rows.push_back(dense_row);
 
   const auto measure_compact = [&](const std::string& name,
@@ -172,8 +178,9 @@ int main() {
     row.charged_bytes = compact.ResidentBytes();
     row.rss_delta_bytes = rss_delta;
     const ScanResult scan =
-        ScanThroughput(data::RatingStore(compact), groups, reps);
-    row.scan_cells_per_sec = scan.cells_per_sec;
+        ScanCost(data::RatingStore(compact), groups, reps);
+    row.ns_per_call = scan.ns_per_call;
+    row.ns_per_cell = scan.ns_per_cell;
     row.topk_identical = SameLists(dense_scan.lists, scan.lists);
     rows.push_back(row);
   };
@@ -246,7 +253,8 @@ int main() {
                                : 0.0;
 
   common::TablePrinter table({"backend", "bytes/user", "charged MB",
-                              "load s", "Mcells/s", "topk=dense"});
+                              "load s", "ns/call", "ns/cell",
+                              "topk=dense"});
   for (const auto& row : rows) {
     table.AddRow({row.name,
                   common::StrFormat("%.1f", static_cast<double>(row.bytes) /
@@ -255,8 +263,8 @@ int main() {
                                                 row.charged_bytes) /
                                                 (1024.0 * 1024.0)),
                   common::StrFormat("%.3f", row.load_seconds),
-                  common::StrFormat("%.1f",
-                                    row.scan_cells_per_sec / 1e6),
+                  common::StrFormat("%.0f", row.ns_per_call),
+                  common::StrFormat("%.1f", row.ns_per_cell),
                   row.topk_identical ? "yes" : "NO"});
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -292,7 +300,8 @@ int main() {
     w.Key("bytes_per_user")
         .Number(static_cast<double>(row.bytes) / config.num_users);
     w.Key("load_seconds").Number(row.load_seconds);
-    w.Key("scan_cells_per_sec").Number(row.scan_cells_per_sec);
+    w.Key("ns_per_call").Number(row.ns_per_call);
+    w.Key("ns_per_cell").Number(row.ns_per_cell);
     w.Key("rss_delta_bytes").Int(row.rss_delta_bytes);
     w.Key("topk_identical").Bool(row.topk_identical);
     w.EndObject();

@@ -126,9 +126,9 @@ grouprec::GroupTopK BucketRecommendation(const FormationProblem& problem,
                                          const grouprec::GroupScorer& scorer,
                                          const Bucket& bucket) {
   if (problem.aggregation == Aggregation::kMax) {
-    return scorer.TopKUnionCandidates(
-        bucket.members, problem.k,
-        std::max(problem.k, problem.candidate_depth));
+    return scorer.TopK(bucket.members, problem.k,
+                       grouprec::CandidateFilter::Union(
+                           std::max(problem.k, problem.candidate_depth)));
   }
   grouprec::GroupTopK list;
   list.items.reserve(bucket.seq_items.size());
@@ -224,13 +224,14 @@ FormationResult SelectAndAssemble(
         } else {
           // Subsets can score intermediate positions higher than the whole
           // bucket's accumulated minima; recompute for exact display.
-          group.recommendation = problem.aggregation == Aggregation::kMax
-                                     ? scorer.TopKUnionCandidates(
-                                           group.members, problem.k,
-                                           std::max(problem.k,
-                                                    problem.candidate_depth))
-                                     : scorer.TopK(group.members, problem.k,
-                                                   bucket->seq_items);
+          std::vector<ItemId> candidates = bucket->seq_items;
+          std::sort(candidates.begin(), candidates.end());
+          group.recommendation = scorer.TopK(
+              group.members, problem.k,
+              problem.aggregation == Aggregation::kMax
+                  ? grouprec::CandidateFilter::Union(
+                        std::max(problem.k, problem.candidate_depth))
+                  : grouprec::CandidateFilter::Set(candidates));
         }
         group.satisfaction = score;
         result.objective += score;

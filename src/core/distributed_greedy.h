@@ -27,7 +27,8 @@ struct DistributedGreedyHooks {
       std::vector<std::vector<data::RatingEntry>>>(UserId begin, UserId end)>;
 
   /// Returns the residual group's partial top-k over the item range
-  /// [begin, end), i.e. scorer.TopKItemRange(members, k, begin, end).
+  /// [begin, end), i.e. scorer.TopK(members, k,
+  /// grouprec::CandidateFilter::Range(begin, end)).
   using GroupTopKRange =
       std::function<common::StatusOr<grouprec::GroupTopK>(
           std::span<const UserId> members, ItemId begin, ItemId end)>;
@@ -46,9 +47,9 @@ struct DistributedGreedyHooks {
   std::int64_t residual_shard_items = 0;
 };
 
-/// GreedyFormer::Run() with the two O(n·m·log k)-class phases — per-user
-/// top-k extraction and the residual group's full-catalogue scan —
-/// outsourced through `hooks`, for the fleet broker's scatter/gather
+/// GreedyFormer::Run() with its two bulk phases — per-user top-k
+/// extraction and the residual group's catalogue top-k — outsourced
+/// through `hooks`, for the fleet broker's scatter/gather
 /// mode. The order-sensitive work stays local and sequential: hook
 /// results are folded into buckets in ascending user order (AV seq_scores
 /// are floating-point sums, which are not associative), and residual

@@ -7,7 +7,7 @@
 // (uint16 when the catalogue fits, else int32) and a separate quantized
 // rating stream (int8 or int16 with a per-matrix scale/offset) — so
 // million-user instances fit in a fraction of the dense footprint and
-// grouprec::TopKItemRange shard scans become branch-light loops over
+// the row scans of grouprec's top-k kernel become branch-light loops over
 // same-width cells. The storage can be heap-owned or a zero-copy view
 // into an mmap-ed GFCM file (data/binary_io.h), which is how
 // groupform_serverd serves instances far larger than its cache budget.
@@ -199,8 +199,8 @@ class CompactRatingMatrix {
   }
 
   /// VisitRow restricted to items in [begin, end): one binary search per
-  /// row finds the slice, then only in-range cells are touched —
-  /// grouprec::TopKItemRange's sharding contract, same as the dense path.
+  /// row finds the slice, then only in-range cells are touched — how
+  /// grouprec's top-k kernel scans a range filter, same as the dense path.
   template <typename Fn>
   void VisitRowRange(UserId user, ItemId begin, ItemId end, Fn&& fn) const {
     const std::size_t lo = RowBegin(user);

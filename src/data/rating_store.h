@@ -80,8 +80,8 @@ class RatingStore {
   }
 
   /// VisitRow restricted to items in [begin, end) — one binary search per
-  /// row, then only in-range cells are touched (the TopKItemRange
-  /// sharding contract on both backends).
+  /// row, then only in-range cells are touched (how grouprec's top-k
+  /// kernel scans a range filter, on both backends).
   template <typename Fn>
   void VisitRowRange(UserId user, ItemId begin, ItemId end, Fn&& fn) const {
     if (dense_) {

@@ -20,7 +20,7 @@ using grouprec::Semantics;
 double GroupSat(const core::FormationProblem& problem,
                 const grouprec::GroupScorer& scorer,
                 const std::vector<UserId>& members) {
-  const auto list = scorer.TopKAllItems(members, problem.k);
+  const auto list = scorer.TopK(members, problem.k);
   return core::AggregateListSatisfaction(
       problem, static_cast<int>(members.size()), list);
 }
@@ -183,7 +183,7 @@ common::StatusOr<FormationResult> BranchAndBoundSolver::Run() const {
       }
     }
     if (group.members.empty()) continue;
-    group.recommendation = scorer.TopKAllItems(group.members, problem_.k);
+    group.recommendation = scorer.TopK(group.members, problem_.k);
     group.satisfaction = GroupSat(problem_, scorer, group.members);
     result.objective += group.satisfaction;
     result.groups.push_back(std::move(group));

@@ -33,7 +33,7 @@ std::vector<UserId> MaskMembers(std::uint32_t mask) {
 double GroupSatisfaction(const core::FormationProblem& problem,
                          const grouprec::GroupScorer& scorer,
                          const std::vector<UserId>& members) {
-  const auto list = scorer.TopKAllItems(members, problem.k);
+  const auto list = scorer.TopK(members, problem.k);
   return core::AggregateListSatisfaction(
       problem, static_cast<int>(members.size()), list);
 }
@@ -113,7 +113,7 @@ common::StatusOr<FormationResult> SubsetDpSolver::Run() const {
     GF_CHECK_NE(block, 0u);
     FormedGroup group;
     group.members = MaskMembers(block);
-    group.recommendation = scorer.TopKAllItems(group.members, problem_.k);
+    group.recommendation = scorer.TopK(group.members, problem_.k);
     group.satisfaction = group_score[block];
     result.objective += group.satisfaction;
     result.groups.push_back(std::move(group));
@@ -186,7 +186,7 @@ common::StatusOr<FormationResult> BruteForceSolver::Run() const {
         group.members.push_back(static_cast<UserId>(u));
       }
     }
-    group.recommendation = scorer.TopKAllItems(group.members, problem_.k);
+    group.recommendation = scorer.TopK(group.members, problem_.k);
     group.satisfaction = GroupSatisfaction(problem_, scorer, group.members);
     result.objective += group.satisfaction;
     result.groups.push_back(std::move(group));

@@ -46,8 +46,8 @@ struct BrokerConfig {
   int backoff_ms = 50;
   /// Virtual nodes per worker on the routing ring.
   int virtual_nodes = 64;
-  /// Scatter mode: item-range width of the residual group's distributed
-  /// scan (the ScoreGroupsOptions::shard_min_items analogue).
+  /// Scatter mode: item-range width of each topk_items shard RPC in the
+  /// residual group's distributed top-k.
   std::int64_t residual_shard_items = 4096;
   /// The broker's local session (scatter-mode solves and shard requests
   /// load instances through it; pure-affinity brokers keep it idle).

@@ -31,13 +31,9 @@ StatusOr<GroupRecommender::GroupRecommendation> GroupRecommender::Recommend(
     }
   }
   GroupRecommendation out;
-  if (options_.candidate_depth == 0) {
-    out.list = scorer_.TopKAllItems(group, options_.k);
-  } else {
-    out.list = scorer_.TopKUnionCandidates(
-        group, options_.k,
-        std::max(options_.candidate_depth, options_.k));
-  }
+  out.list = scorer_.TopK(
+      group, options_.k,
+      CandidateFilter::ForDepth(options_.candidate_depth, options_.k));
   out.satisfaction =
       GroupScorer::AggregateSatisfaction(out.list, options_.aggregation);
   return out;

@@ -1,6 +1,7 @@
 #ifndef GROUPFORM_GROUPREC_GROUP_SCORER_H_
 #define GROUPFORM_GROUPREC_GROUP_SCORER_H_
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -29,13 +30,48 @@ struct GroupTopK {
 
 /// The library-wide scored-item ordering: score descending, ties broken
 /// by ascending item id. A strict total order over distinct items — the
-/// one definition shared by every top-k producer and by the sharded
-/// partial-top-k merge in core::ScoreGroups, so re-sorting merged
-/// partials always reproduces exactly the unsharded sequence.
+/// one definition shared by the top-k kernel and by the fleet's
+/// partial-top-k merge (core::MergeShardTopK), so re-sorting merged
+/// partials always reproduces exactly the single-call sequence.
 inline bool BetterScoredItem(const ScoredItem& a, const ScoredItem& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.item < b.item;
 }
+
+/// The items a GroupScorer::TopK call may return. Non-owning: a set
+/// filter's span must outlive the call.
+struct CandidateFilter {
+  enum class Kind { kAllItems, kRange, kSet, kUnion };
+
+  Kind kind = Kind::kAllItems;
+  /// kRange: the item ids [begin, end), within [0, num_items].
+  ItemId begin = 0;
+  ItemId end = 0;
+  /// kSet: ascending, duplicate-free item ids in [0, num_items).
+  std::span<const ItemId> set;
+  /// kUnion: the union of each member's `depth` personally highest-rated
+  /// items (rating desc, item asc) — the truncated candidate set the
+  /// paper describes for the greedy algorithms' final group ("sifts
+  /// through the top-k items per user"). depth >= k is recommended.
+  int depth = 0;
+
+  /// The whole catalogue [0, num_items).
+  static CandidateFilter AllItems() { return {}; }
+  static CandidateFilter Range(ItemId begin, ItemId end) {
+    return {Kind::kRange, begin, end, {}, 0};
+  }
+  static CandidateFilter Set(std::span<const ItemId> sorted_items) {
+    return {Kind::kSet, 0, 0, sorted_items, 0};
+  }
+  static CandidateFilter Union(int depth) {
+    return {Kind::kUnion, 0, 0, {}, depth};
+  }
+  /// The `candidate_depth` policy of a top-k list: the whole catalogue at
+  /// depth 0, otherwise the union at depth max(depth, k).
+  static CandidateFilter ForDepth(int depth, int k) {
+    return depth == 0 ? AllItems() : Union(std::max(depth, k));
+  }
+};
 
 /// Computes group scores and group top-k recommendations for arbitrary
 /// groups under a chosen semantics (§2.2). This is the "existing group
@@ -60,31 +96,21 @@ class GroupScorer {
   /// O(|g| log d̄) via per-user binary searches.
   double ItemScore(std::span<const UserId> group, ItemId item) const;
 
-  /// The group's top-k list over an explicit candidate item set.
-  /// O(R_g + C log C) where R_g is the total number of ratings held by
-  /// group members and C the candidate count.
+  /// The group's top-k list over the candidates `filter` admits: the
+  /// min(k, candidates) best under BetterScoredItem, with exactly the
+  /// scores ItemScore gives. The one top-k kernel (DESIGN.md §18): it
+  /// visits the members' rating rows only, so a call costs
+  /// O(R_g + T log k + k) for R_g rated cells of the members and T
+  /// touched candidates (plus O(C) for a C-item set) — never work
+  /// proportional to the catalogue.
   GroupTopK TopK(std::span<const UserId> group, int k,
-                 std::span<const ItemId> candidates) const;
+                 const CandidateFilter& filter =
+                     CandidateFilter::AllItems()) const;
 
-  /// Top-k over the full catalogue [0, num_items).
-  GroupTopK TopKAllItems(std::span<const UserId> group, int k) const;
-
-  /// Top-k over the contiguous item range [begin, end) — the within-group
-  /// sharding primitive of core::ScoreGroups. Equivalent to TopK over the
-  /// explicit candidate list {begin, ..., end - 1} (bit-identical scores
-  /// and ordering), but scans only the slice of each member's rating row
-  /// covering the range (one binary search per member), so sharding a
-  /// catalogue into R ranges costs O(R_g + C log C) total like the
-  /// unsharded scan — not R times the row-scan work.
-  GroupTopK TopKItemRange(std::span<const UserId> group, int k, ItemId begin,
-                          ItemId end) const;
-
-  /// Top-k over the union of each member's `depth` personally-highest-rated
-  /// items — the truncated candidate policy the paper describes for the
-  /// greedy algorithms' final group ("sifts through the top-k items per
-  /// user"). depth >= k is recommended.
-  GroupTopK TopKUnionCandidates(std::span<const UserId> group, int k,
-                                int depth) const;
+  /// The score of an item no member of a `group_size` group rated — the
+  /// same for every such item (the DESIGN.md §18.1 table): r_min under LM
+  /// and under skip, group_size × r_min under AV with rmin, 0 under zero.
+  double UntouchedScore(int group_size) const;
 
   /// gs(I_k): aggregates a recommended list into the group's satisfaction
   /// score under `aggregation` (§2.3). For kMin the bottom item is the last

@@ -650,8 +650,9 @@ ShardResponse Session::ExecuteShard(const ShardRequest& request) {
     }
   }
   const grouprec::GroupScorer scorer = problem.MakeScorer();
-  const grouprec::GroupTopK list = scorer.TopKItemRange(
-      request.members, problem.k, request.item_begin, request.item_end);
+  const grouprec::GroupTopK list = scorer.TopK(
+      request.members, problem.k,
+      grouprec::CandidateFilter::Range(request.item_begin, request.item_end));
   response.list.items.reserve(list.items.size());
   response.list.scores.reserve(list.items.size());
   for (const grouprec::ScoredItem& scored : list.items) {

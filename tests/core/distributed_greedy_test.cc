@@ -65,8 +65,8 @@ DistributedGreedyHooks LocalHooks(const FormationProblem& problem,
     hooks.group_topk_range =
         [&problem](std::span<const UserId> members, ItemId begin,
                    ItemId end) -> common::StatusOr<grouprec::GroupTopK> {
-      return problem.MakeScorer().TopKItemRange(members, problem.k, begin,
-                                                end);
+      return problem.MakeScorer().TopK(
+          members, problem.k, grouprec::CandidateFilter::Range(begin, end));
     };
   }
   return hooks;

@@ -142,5 +142,19 @@ TEST(AggregateListSatisfaction, ShortListsFallBackToMissingSlots) {
                    4.0);
 }
 
+TEST(ScoreGroups, EmptyGroupsScoreZeroWithAnEmptyList) {
+  const auto matrix = data::PaperExample1();
+  const auto problem = ValidProblem(matrix);
+  const auto scorer = problem.MakeScorer();
+  const std::vector<std::vector<UserId>> groups = {{}, {0, 1}, {}};
+  const auto scores = core::ScoreGroups(problem, scorer, groups);
+  ASSERT_EQ(scores.size(), groups.size());
+  for (const std::size_t g : {0, 2}) {
+    EXPECT_EQ(scores[g].satisfaction, 0.0);
+    EXPECT_TRUE(scores[g].list.empty());
+  }
+  EXPECT_EQ(scores[1].list.size(), problem.k);
+}
+
 }  // namespace
 }  // namespace groupform

@@ -132,9 +132,9 @@ TEST(GoldenExample2, PaperGroupingScores14ButTrueOptimumIs16) {
   const std::vector<UserId> g2 = {1, 4, 5};
   const double paper_value =
       grouprec::GroupScorer::AggregateSatisfaction(
-          scorer.TopKAllItems(g1, 2), Aggregation::kMin) +
+          scorer.TopK(g1, 2), Aggregation::kMin) +
       grouprec::GroupScorer::AggregateSatisfaction(
-          scorer.TopKAllItems(g2, 2), Aggregation::kMin);
+          scorer.TopK(g2, 2), Aggregation::kMin);
   EXPECT_DOUBLE_EQ(paper_value, 14.0);
   // ...but the grouping is not optimal: {u1,u3,u4,u6} / {u2,u5} scores
   // 10 + 6 = 16 (verified against the brute-force enumerator in
@@ -169,7 +169,7 @@ TEST(GoldenExample3, GroupTopTwoLeadsWithItem2AndBottomScore1) {
   options.semantics = Semantics::kLeastMisery;
   const grouprec::GroupScorer scorer(matrix, options);
   const std::vector<UserId> group = {0, 1};
-  const auto list = scorer.TopKAllItems(group, 2);
+  const auto list = scorer.TopK(group, 2);
   ASSERT_EQ(list.size(), 2);
   // i2 (index 1) has LM score 4 and leads; every other item has LM 1.
   EXPECT_EQ(list.items[0].item, 1);
@@ -196,9 +196,9 @@ TEST(GoldenExample4, GreedyGets14PaperGrouping15TrueOptimum16) {
   const std::vector<UserId> strong = {0, 1, 2};
   const std::vector<UserId> alone = {3};
   EXPECT_DOUBLE_EQ(grouprec::GroupScorer::AggregateSatisfaction(
-                       scorer.TopKAllItems(strong, 2), Aggregation::kMin) +
+                       scorer.TopK(strong, 2), Aggregation::kMin) +
                        grouprec::GroupScorer::AggregateSatisfaction(
-                           scorer.TopKAllItems(alone, 2),
+                           scorer.TopK(alone, 2),
                            Aggregation::kMin),
                    15.0);
   // ...and taking AV's big-group logic to its conclusion, one group of all

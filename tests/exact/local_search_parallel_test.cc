@@ -256,15 +256,15 @@ TEST_F(LocalSearchParallelTest, FactoryValidatesParallelKnobsAtCreate) {
   const auto matrix = data::GenerateClusteredDense(10, 6, 2, 73);
   const auto problem = Problem(matrix, /*k=*/2, /*ell=*/3);
 
-  const auto negative = registry.Create(
+  const auto numeric = registry.Create(
       "localsearch", problem,
-      core::SolverOptions().Set("shard_min_items", "-4"));
-  ASSERT_FALSE(negative.ok());
-  EXPECT_EQ(negative.status().code(), common::StatusCode::kInvalidArgument);
+      core::SolverOptions().Set("parallel_moves", "2"));
+  ASSERT_FALSE(numeric.ok());
+  EXPECT_EQ(numeric.status().code(), common::StatusCode::kInvalidArgument);
 
   const auto garbage = registry.Create(
       "localsearch", problem,
-      core::SolverOptions().Set("shard_min_items", "zebra"));
+      core::SolverOptions().Set("parallel_moves", "zebra"));
   ASSERT_FALSE(garbage.ok());
   EXPECT_EQ(garbage.status().code(), common::StatusCode::kInvalidArgument);
 
@@ -277,8 +277,7 @@ TEST_F(LocalSearchParallelTest, FactoryValidatesParallelKnobsAtCreate) {
 
   const auto valid = registry.Create(
       "localsearch", problem,
-      core::SolverOptions().Set("shard_min_items", "128").Set(
-          "parallel_moves", "false"));
+      core::SolverOptions().Set("parallel_moves", "false"));
   ASSERT_TRUE(valid.ok()) << valid.status();
   const auto solved = (*valid)->Solve();
   ASSERT_TRUE(solved.ok());

@@ -41,7 +41,7 @@ TEST_P(ScorerPropertyTest, TopKIsSortedBoundedAndConsistent) {
     for (auto p : picks) group.push_back(static_cast<UserId>(p));
     const int group_size = static_cast<int>(group.size());
 
-    const auto list = scorer.TopKAllItems(group, 8);
+    const auto list = scorer.TopK(group, 8);
     // (1) Sorted by score descending, ties by item id ascending.
     for (int j = 1; j < list.size(); ++j) {
       const auto& prev = list.items[static_cast<std::size_t>(j - 1)];
@@ -65,7 +65,8 @@ TEST_P(ScorerPropertyTest, TopKIsSortedBoundedAndConsistent) {
     }
     // (4) Candidate-subset monotonicity: the union-candidate list's
     // scores are pointwise <= the full-catalogue list's scores.
-    const auto truncated = scorer.TopKUnionCandidates(group, 8, 3);
+    const auto truncated =
+        scorer.TopK(group, 8, grouprec::CandidateFilter::Union(3));
     for (int j = 0; j < truncated.size() && j < list.size(); ++j) {
       EXPECT_LE(truncated.items[static_cast<std::size_t>(j)].score,
                 list.items[static_cast<std::size_t>(j)].score + 1e-9);

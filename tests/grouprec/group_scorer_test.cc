@@ -53,7 +53,7 @@ TEST(GroupScorer, TopKOrdersByScoreThenItemId) {
   const auto matrix = data::PaperExample2();
   const auto scorer = MakeScorer(matrix, Semantics::kAggregateVoting);
   const std::vector<UserId> group = {0, 1, 4, 5};
-  const auto list = scorer.TopKAllItems(group, 2);
+  const auto list = scorer.TopK(group, 2);
   ASSERT_EQ(list.size(), 2);
   EXPECT_EQ(list.items[0].item, 2);  // i3, AV 11
   EXPECT_DOUBLE_EQ(list.items[0].score, 11.0);
@@ -67,7 +67,7 @@ TEST(GroupScorer, TopKMatchesItemScoreForEveryCandidate) {
        {Semantics::kLeastMisery, Semantics::kAggregateVoting}) {
     const auto scorer = MakeScorer(matrix, semantics);
     const std::vector<UserId> group = {0, 2, 4};
-    const auto list = scorer.TopKAllItems(group, 3);
+    const auto list = scorer.TopK(group, 3);
     ASSERT_EQ(list.size(), 3);
     for (const auto& si : list.items) {
       EXPECT_DOUBLE_EQ(si.score, scorer.ItemScore(group, si.item));
@@ -155,7 +155,7 @@ TEST(GroupScorer, TopKAgreesWithItemScoreUnderEveryPolicy) {
          {MissingRatingPolicy::kScaleMin, MissingRatingPolicy::kZero,
           MissingRatingPolicy::kSkipUser}) {
       const auto scorer = MakeScorer(matrix, semantics, policy);
-      const auto list = scorer.TopKAllItems(group, 4);
+      const auto list = scorer.TopK(group, 4);
       for (const auto& si : list.items) {
         EXPECT_DOUBLE_EQ(si.score, scorer.ItemScore(group, si.item))
             << "semantics=" << static_cast<int>(semantics)
@@ -171,7 +171,7 @@ TEST(GroupScorer, UnionCandidatesCoverPersonalTopItems) {
   const auto scorer = MakeScorer(matrix, Semantics::kLeastMisery);
   const std::vector<UserId> group = {0, 1};
   // Depth 1: candidates = {i0 (u0's best), i1 (u1's best)}.
-  const auto list = scorer.TopKUnionCandidates(group, 2, 1);
+  const auto list = scorer.TopK(group, 2, grouprec::CandidateFilter::Union(1));
   ASSERT_EQ(list.size(), 2);
   // LM scores: i0 -> min(5,3)=3, i1 -> min(4,5)=4; order: i1, i0.
   EXPECT_EQ(list.items[0].item, 1);
@@ -199,13 +199,18 @@ TEST(GroupScorer, EmptyCandidatesGiveEmptyList) {
   const auto scorer = MakeScorer(matrix, Semantics::kLeastMisery);
   const std::vector<UserId> group = {0, 1};
   const std::vector<ItemId> no_candidates;
-  EXPECT_TRUE(scorer.TopK(group, 3, no_candidates).empty());
+  EXPECT_TRUE(scorer.TopK({}, 3).empty());
+  EXPECT_TRUE(
+      scorer.TopK(group, 3, grouprec::CandidateFilter::Set(no_candidates))
+          .empty());
+  EXPECT_TRUE(
+      scorer.TopK(group, 3, grouprec::CandidateFilter::Range(2, 2)).empty());
 }
 
-TEST(GroupScorer, TopKItemRangeMatchesExplicitCandidateList) {
-  // The sharding primitive: bit-identical to TopK over the equivalent
-  // explicit candidate list, for every semantics x missing policy, on a
-  // sparse matrix (so raters-incomplete items exercise every branch).
+TEST(GroupScorer, RangeFilterMatchesEquivalentSetFilter) {
+  // The fleet's shard primitive: a range filter is bit-identical to the
+  // equivalent explicit set filter, for every semantics x missing policy,
+  // on a sparse matrix (so raters-incomplete items exercise every branch).
   const auto matrix = data::GenerateLatentFactor(
       data::MovieLensLikeConfig(18, 30, /*seed=*/91));
   const std::vector<UserId> group = {0, 3, 7, 11, 16};
@@ -222,8 +227,10 @@ TEST(GroupScorer, TopKItemRangeMatchesExplicitCandidateList) {
         for (ItemId item = begin; item < end; ++item) {
           candidates.push_back(item);
         }
-        const auto by_list = scorer.TopK(group, 4, candidates);
-        const auto by_range = scorer.TopKItemRange(group, 4, begin, end);
+        const auto by_list =
+            scorer.TopK(group, 4, grouprec::CandidateFilter::Set(candidates));
+        const auto by_range =
+            scorer.TopK(group, 4, grouprec::CandidateFilter::Range(begin, end));
         EXPECT_EQ(by_range.items, by_list.items)
             << "range [" << begin << ", " << end << ")";
       }

@@ -18,10 +18,17 @@ Default (bench) mode checks, for every BENCH_*.json in DIR
   * BENCH_scale_*.json additionally carries the storage-backend report
     (DESIGN.md §14.5): a "scale" object with positive users/items/ratings,
     a backends array covering at least dense/compact8/mmap with numeric
-    size and throughput fields, topk_identical true on every backend
+    size and top-k cost (ns_per_call, ns_per_cell) fields, topk_identical
+    true on every backend
     (compact scans return the same top-k lists as dense), and
     reduction_dense_over_compact8 >= 4 — the PR-7 headline is a ratio of
     per-user byte costs, so it holds at smoke scale too;
+  * BENCH_topk_*.json additionally carries the top-k kernel report
+    (DESIGN.md §18): a "topk_kernel" object whose rows each report
+    backend/items/cells plus numeric ns_per_call and ns_per_cell, with
+    topk_identical true on every row and, per backend, rows at 2k and
+    200k items whose ns_per_call grows less than 2x between them — the
+    kernel costs rated cells, not catalogue size;
   * BENCH_serve_*.json additionally carries the serving-load report
     (DESIGN.md §15): a "serve" object whose rows each report
     wire/mode/threads/requests/batch_size plus numeric rps and p50/p99
@@ -118,7 +125,8 @@ SCALE_BACKEND_NUMERIC_KEYS = [
     "charged_bytes",
     "bytes_per_user",
     "load_seconds",
-    "scan_cells_per_sec",
+    "ns_per_call",
+    "ns_per_cell",
 ]
 
 MIN_SCALE_REDUCTION = 4.0
@@ -160,6 +168,60 @@ def validate_scale(path, doc):
             f"reduction_dense_over_compact8 is {reduction:.2f}, "
             f"below the required {MIN_SCALE_REDUCTION}x",
         )
+    return ok
+
+
+TOPK_ROW_NUMERIC_KEYS = ["cells", "ns_per_call", "ns_per_cell"]
+TOPK_SMALL_ITEMS = 2_000
+TOPK_LARGE_ITEMS = 200_000
+MAX_TOPK_GROWTH = 2.0
+
+
+def validate_topk_kernel(path, doc):
+    report = doc.get("topk_kernel")
+    if not isinstance(report, dict):
+        return fail(path, "top-k kernel bench without a topk_kernel object")
+    rows = report.get("rows")
+    if not isinstance(rows, list) or not rows:
+        return fail(path, "topk_kernel.rows must be a non-empty array")
+    ok = True
+    per_call = {}  # backend -> {items: ns_per_call}
+    for index, row in enumerate(rows):
+        backend = row.get("backend")
+        items = row.get("items")
+        if not isinstance(backend, str) or not backend:
+            ok = fail(path, f"topk_kernel row {index} without a backend")
+            continue
+        if not isinstance(items, int) or items <= 0:
+            ok = fail(path, f"topk_kernel row {index}: bad items {items!r}")
+            continue
+        where = f"topk_kernel {backend} at {items} items"
+        numeric = True
+        for key in TOPK_ROW_NUMERIC_KEYS:
+            value = row.get(key)
+            if not isinstance(value, (int, float)) or value <= 0:
+                numeric = ok = fail(path, f"{where}: bad {key} {value!r}")
+        if row.get("topk_identical") is not True:
+            ok = fail(path, f"{where}: topk_identical is not true")
+        if numeric:
+            per_call.setdefault(backend, {})[items] = row["ns_per_call"]
+    for backend, by_items in sorted(per_call.items()):
+        small = by_items.get(TOPK_SMALL_ITEMS)
+        large = by_items.get(TOPK_LARGE_ITEMS)
+        if small is None or large is None:
+            ok = fail(
+                path,
+                f"topk_kernel {backend}: needs rows at {TOPK_SMALL_ITEMS} "
+                f"and {TOPK_LARGE_ITEMS} items",
+            )
+        elif large >= MAX_TOPK_GROWTH * small:
+            ok = fail(
+                path,
+                f"topk_kernel {backend}: ns_per_call grows "
+                f"{large / small:.2f}x from {TOPK_SMALL_ITEMS} to "
+                f"{TOPK_LARGE_ITEMS} items, at most {MAX_TOPK_GROWTH}x "
+                f"allowed",
+            )
     return ok
 
 
@@ -374,6 +436,8 @@ def validate_file(path, required_solvers):
         ok = validate_sweep(path, sweep) and ok
     if path.name.startswith("BENCH_scale_"):
         ok = validate_scale(path, doc) and ok
+    if path.name.startswith("BENCH_topk_"):
+        ok = validate_topk_kernel(path, doc) and ok
     if path.name.startswith("BENCH_serve_"):
         ok = validate_serve(path, doc) and ok
     if path.name.startswith("BENCH_fleet_"):
