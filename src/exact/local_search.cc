@@ -9,6 +9,7 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/greedy.h"
+#include "exact/move_evaluator.h"
 
 namespace groupform::exact {
 namespace {
@@ -39,11 +40,31 @@ void RemoveUser(std::vector<UserId>& members, UserId user) {
   members.erase(it);
 }
 
+/// One trial's satisfaction: group `g` of the snapshot with `out` removed
+/// and `in` added. The evaluator scores it incrementally; the one exception
+/// (DESIGN.md §19.4) is the reference kernel on the members built exactly
+/// as the climber always built them.
+double TrialSatisfaction(const core::FormationProblem& problem,
+                         const grouprec::GroupScorer& scorer,
+                         const MoveEvaluator& evaluator,
+                         std::span<const std::vector<UserId>> groups, int g,
+                         UserId out, UserId in) {
+  if (evaluator.exact()) return evaluator.Trial(g, out, in);
+  std::vector<UserId> members = groups[static_cast<std::size_t>(g)];
+  if (out != kInvalidUser) RemoveUser(members, out);
+  if (in != kInvalidUser) {
+    members.push_back(in);
+    std::sort(members.begin(), members.end());
+  }
+  return Evaluate(problem, scorer, members);
+}
+
 /// Plans one user's best move against the snapshot partition. Pure in
 /// (snapshot, pass_seed, u) — the ParallelFor body of PlanPassMoves —
 /// so the plan is identical at every thread count.
 PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
                             const grouprec::GroupScorer& scorer,
+                            const MoveEvaluator& evaluator,
                             std::span<const std::vector<UserId>> groups,
                             std::span<const double> satisfaction,
                             std::span<const int> group_of, UserId u,
@@ -52,12 +73,12 @@ PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
   PlannedMove move;
   if (groups.size() <= 1) return move;  // no other group to move into
   const int from = group_of[static_cast<std::size_t>(u)];
+  const auto trial = [&](int g, UserId out, UserId in) {
+    return TrialSatisfaction(problem, scorer, evaluator, groups, g, out, in);
+  };
 
   // Evaluate removing u from its group once.
-  std::vector<UserId> from_without =
-      groups[static_cast<std::size_t>(from)];
-  RemoveUser(from_without, u);
-  const double from_without_sat = Evaluate(problem, scorer, from_without);
+  const double from_without_sat = trial(from, u, kInvalidUser);
 
   // Best single-user relocation, targets in group-index order.
   double best_gain = options.min_improvement;
@@ -71,10 +92,7 @@ PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
       if (considered_empty) continue;
       considered_empty = true;
     }
-    std::vector<UserId> to_with = groups[to];
-    to_with.push_back(u);
-    std::sort(to_with.begin(), to_with.end());
-    const double to_with_sat = Evaluate(problem, scorer, to_with);
+    const double to_with_sat = trial(static_cast<int>(to), kInvalidUser, u);
     const double gain =
         (from_without_sat + to_with_sat) -
         (satisfaction[static_cast<std::size_t>(from)] + satisfaction[to]);
@@ -105,15 +123,8 @@ PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
       const auto& dst = groups[to];
       const UserId v =
           dst[static_cast<std::size_t>(rng.NextUint64(dst.size()))];
-      std::vector<UserId> from_swapped = from_without;
-      from_swapped.push_back(v);
-      std::sort(from_swapped.begin(), from_swapped.end());
-      std::vector<UserId> to_swapped = dst;
-      RemoveUser(to_swapped, v);
-      to_swapped.push_back(u);
-      std::sort(to_swapped.begin(), to_swapped.end());
-      const double from_sat = Evaluate(problem, scorer, from_swapped);
-      const double to_sat = Evaluate(problem, scorer, to_swapped);
+      const double from_sat = trial(from, u, v);
+      const double to_sat = trial(static_cast<int>(to), v, u);
       const double gain =
           (from_sat + to_sat) -
           (satisfaction[static_cast<std::size_t>(from)] + satisfaction[to]);
@@ -148,10 +159,12 @@ std::vector<PlannedMove> PlanPassMoves(
     std::span<const double> satisfaction, std::span<const int> group_of,
     std::span<const UserId> visit_order, std::uint64_t pass_seed,
     const LocalSearchSolver::Options& options) {
+  // One evaluator per pass, built from the snapshot every plan reads.
+  const MoveEvaluator evaluator(problem, scorer, groups);
   std::vector<PlannedMove> moves(visit_order.size());
   const auto plan_one = [&](std::int64_t i) {
     moves[static_cast<std::size_t>(i)] = PlanMoveForUser(
-        problem, scorer, groups, satisfaction, group_of,
+        problem, scorer, evaluator, groups, satisfaction, group_of,
         visit_order[static_cast<std::size_t>(i)], pass_seed, options);
   };
   if (options.parallel_moves) {

@@ -1,5 +1,6 @@
 #include "exact/register_solvers.h"
 
+#include <limits>
 #include <memory>
 
 #include "core/solver_registry.h"
@@ -23,15 +24,30 @@ int AsInt(const SolverOptions& options, const char* key, int fallback) {
   return static_cast<int>(options.GetInt(key, fallback));
 }
 
+/// A strict-parsed int knob: INVALID_ARGUMENT unless the value is an
+/// integer in [min_value, INT_MAX], so no override can truncate or wrap
+/// (a cooling_interval of 4294967296 must not become 0).
+common::StatusOr<int> CheckedInt(const SolverOptions& options,
+                                 const char* key, int fallback,
+                                 int min_value) {
+  GF_ASSIGN_OR_RETURN(const long long value,
+                      options.GetCheckedInt(key, fallback, min_value,
+                                            std::numeric_limits<int>::max()));
+  return static_cast<int>(value);
+}
+
 // Option builders shared by the plain registrations and their "anytime:"
 // variants, so both spellings of a solver read the same knobs.
 
 common::StatusOr<LocalSearchSolver::Options> MakeLocalSearchOptions(
     const SolverOptions& options) {
   LocalSearchSolver::Options opt;
-  opt.max_passes = AsInt(options, "max_passes", opt.max_passes);
+  GF_ASSIGN_OR_RETURN(opt.max_passes,
+                      CheckedInt(options, "max_passes", opt.max_passes, 0));
   opt.use_swaps = options.GetBool("use_swaps", opt.use_swaps);
-  opt.swap_samples = AsInt(options, "swap_samples", opt.swap_samples);
+  GF_ASSIGN_OR_RETURN(
+      opt.swap_samples,
+      CheckedInt(options, "swap_samples", opt.swap_samples, 0));
   opt.init_with_greedy =
       options.GetBool("init_with_greedy", opt.init_with_greedy);
   // The parallelism knob is validated at registry-lookup time: a bad
@@ -49,10 +65,13 @@ common::StatusOr<LocalSearchSolver::Options> MakeLocalSearchOptions(
 common::StatusOr<SimulatedAnnealingSolver::Options> MakeSaOptions(
     const SolverOptions& options) {
   SimulatedAnnealingSolver::Options opt;
-  opt.iterations = AsInt(options, "iterations", opt.iterations);
+  GF_ASSIGN_OR_RETURN(opt.iterations,
+                      CheckedInt(options, "iterations", opt.iterations, 0));
   opt.cooling = options.GetDouble("cooling", opt.cooling);
-  opt.cooling_interval =
-      AsInt(options, "cooling_interval", opt.cooling_interval);
+  // The annealer cools at step % cooling_interval: 0 would divide by zero.
+  GF_ASSIGN_OR_RETURN(
+      opt.cooling_interval,
+      CheckedInt(options, "cooling_interval", opt.cooling_interval, 1));
   opt.swap_fraction = options.GetDouble("swap_fraction", opt.swap_fraction);
   opt.init_with_greedy =
       options.GetBool("init_with_greedy", opt.init_with_greedy);

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/greedy.h"
+#include "exact/move_evaluator.h"
 
 namespace groupform::exact {
 namespace {
@@ -79,6 +80,25 @@ common::StatusOr<FormationResult> SimulatedAnnealingSolver::Run() const {
     members.insert(
         std::lower_bound(members.begin(), members.end(), u), u);
   };
+  // One evaluator for the live state; accepted moves update its two
+  // groups. The one exception (DESIGN.md §19.4) scores trials with the
+  // reference kernel on the members built exactly as the annealer always
+  // built them.
+  MoveEvaluator evaluator(problem_, scorer, groups);
+  const auto trial = [&](int g, UserId out, UserId in) {
+    if (evaluator.exact()) return evaluator.Trial(g, out, in);
+    std::vector<UserId> members = groups[static_cast<std::size_t>(g)];
+    if (out != kInvalidUser) remove_from(members, out);
+    if (in != kInvalidUser) insert_sorted(members, in);
+    return Evaluate(problem_, scorer, members);
+  };
+  const auto apply = [&](int g, UserId out, UserId in, double sat) {
+    std::vector<UserId>& members = groups[static_cast<std::size_t>(g)];
+    if (out != kInvalidUser) remove_from(members, out);
+    if (in != kInvalidUser) insert_sorted(members, in);
+    evaluator.Apply(g, out, in);
+    scores[static_cast<std::size_t>(g)] = sat;
+  };
 
   bool partial = false;
   for (int step = 0; step < options_.iterations; ++step) {
@@ -106,49 +126,35 @@ common::StatusOr<FormationResult> SimulatedAnnealingSolver::Run() const {
     }
     if (to == from) continue;  // ell == 1: nothing to do
 
-    auto& src = groups[static_cast<std::size_t>(from)];
-    auto& dst = groups[static_cast<std::size_t>(to)];
+    const auto& src = groups[static_cast<std::size_t>(from)];
+    const auto& dst = groups[static_cast<std::size_t>(to)];
     if (try_swap && !dst.empty()) {
       const UserId v =
           dst[static_cast<std::size_t>(rng.NextUint64(dst.size()))];
-      std::vector<UserId> new_src = src;
-      remove_from(new_src, u);
-      insert_sorted(new_src, v);
-      std::vector<UserId> new_dst = dst;
-      remove_from(new_dst, v);
-      insert_sorted(new_dst, u);
-      const double src_sat = Evaluate(problem_, scorer, new_src);
-      const double dst_sat = Evaluate(problem_, scorer, new_dst);
+      const double src_sat = trial(from, u, v);
+      const double dst_sat = trial(to, v, u);
       const double delta =
           (src_sat + dst_sat) -
           (scores[static_cast<std::size_t>(from)] +
            scores[static_cast<std::size_t>(to)]);
       if (accept(delta)) {
-        src = std::move(new_src);
-        dst = std::move(new_dst);
-        scores[static_cast<std::size_t>(from)] = src_sat;
-        scores[static_cast<std::size_t>(to)] = dst_sat;
+        apply(from, u, v, src_sat);
+        apply(to, v, u, dst_sat);
         objective += delta;
         group_of[static_cast<std::size_t>(u)] = to;
         group_of[static_cast<std::size_t>(v)] = from;
       }
     } else {
       if (src.size() == 1 && dst.empty()) continue;  // no-op shuffle
-      std::vector<UserId> new_src = src;
-      remove_from(new_src, u);
-      std::vector<UserId> new_dst = dst;
-      insert_sorted(new_dst, u);
-      const double src_sat = Evaluate(problem_, scorer, new_src);
-      const double dst_sat = Evaluate(problem_, scorer, new_dst);
+      const double src_sat = trial(from, u, kInvalidUser);
+      const double dst_sat = trial(to, kInvalidUser, u);
       const double delta =
           (src_sat + dst_sat) -
           (scores[static_cast<std::size_t>(from)] +
            scores[static_cast<std::size_t>(to)]);
       if (accept(delta)) {
-        src = std::move(new_src);
-        dst = std::move(new_dst);
-        scores[static_cast<std::size_t>(from)] = src_sat;
-        scores[static_cast<std::size_t>(to)] = dst_sat;
+        apply(from, u, kInvalidUser, src_sat);
+        apply(to, kInvalidUser, u, dst_sat);
         objective += delta;
         group_of[static_cast<std::size_t>(u)] = to;
       }

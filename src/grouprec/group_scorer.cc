@@ -3,51 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <limits>
 
 #include "common/logging.h"
 
 namespace groupform::grouprec {
 namespace {
-
-/// Per-item accumulator across group members.
-struct Accum {
-  int raters = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double sum = 0.0;
-};
-
-/// Resolves one item's accumulated ratings into its group score under the
-/// semantics/missing policy. Shared by ItemScore, TopK and UntouchedScore
-/// so they can never drift apart.
-double ScoreFromAccum(const Accum& acc, int group_size,
-                      const GroupScorer::Options& options, double r_min) {
-  // A zero-size group (precondition violation upstream) must not count as
-  // "complete": acc.min would be the +inf sentinel and leak out.
-  const bool complete = acc.raters == group_size && group_size > 0;
-  switch (options.missing) {
-    case MissingRatingPolicy::kScaleMin:
-      if (options.semantics == Semantics::kLeastMisery) {
-        return complete ? acc.min : r_min;
-      }
-      return acc.sum +
-             static_cast<double>(group_size - acc.raters) * r_min;
-    case MissingRatingPolicy::kZero:
-      if (options.semantics == Semantics::kLeastMisery) {
-        // A missing member contributes 0, which caps the min whenever the
-        // item is incomplete (in-scale ratings can still be negative on
-        // exotic scales, hence the std::min).
-        if (acc.raters == 0) return 0.0;
-        return complete ? acc.min : std::min(acc.min, 0.0);
-      }
-      return acc.sum;
-    case MissingRatingPolicy::kSkipUser:
-      if (acc.raters == 0) return r_min;
-      return options.semantics == Semantics::kLeastMisery ? acc.min
-                                                          : acc.sum;
-  }
-  return r_min;
-}
 
 /// Slot states of an item the current call has not accumulated yet.
 constexpr std::int32_t kUntouched = -1;
@@ -62,7 +22,7 @@ constexpr std::int32_t kMarked = -2;
 struct KernelScratch {
   std::vector<std::int32_t> slot;
   std::vector<ScoredItem> scored;
-  std::vector<Accum> accums;
+  std::vector<ItemAccum> accums;
   std::vector<ItemId> untouched;
 };
 
@@ -108,7 +68,7 @@ double GroupScorer::ItemScore(std::span<const UserId> group,
   // Accumulate observed ratings only and let ScoreFromAccum resolve the
   // missing policy — the same arithmetic as TopK, so the two entry points
   // agree bit for bit.
-  Accum acc;
+  ItemAccum acc;
   for (UserId u : group) {
     const auto rating = store_.GetRating(u, item);
     if (!rating.has_value()) continue;
@@ -116,8 +76,7 @@ double GroupScorer::ItemScore(std::span<const UserId> group,
     acc.min = std::min(acc.min, *rating);
     acc.sum += *rating;
   }
-  return ScoreFromAccum(acc, static_cast<int>(group.size()), options_,
-                        store_.scale().min);
+  return ScoreOf(acc, static_cast<int>(group.size()));
 }
 
 GroupTopK GroupScorer::TopK(std::span<const UserId> group, int k,
@@ -162,14 +121,14 @@ GroupTopK GroupScorer::TopK(std::span<const UserId> group, int k,
       std::min(cells, static_cast<std::size_t>(candidates));
   const auto kk = static_cast<std::size_t>(k);
   std::vector<ScoredItem>& scored = scratch.scored;
-  std::vector<Accum>& accums = scratch.accums;
+  std::vector<ItemAccum>& accums = scratch.accums;
   std::vector<ItemId>& untouched = scratch.untouched;
   scored.clear();
   accums.clear();
   untouched.clear();
   scored.reserve(max_touched);
   accums.reserve(max_touched);
-  untouched.reserve(kk);
+  untouched.reserve(std::min(kk, static_cast<std::size_t>(candidates)));
   std::int32_t* const slot = scratch.slot.data();
   for (const ItemId item : set) slot[item] = kMarked;
 
@@ -187,7 +146,7 @@ GroupTopK GroupScorer::TopK(std::span<const UserId> group, int k,
       scored.push_back({item, 0.0});
       accums.emplace_back();
     }
-    Accum& acc = accums[static_cast<std::size_t>(index)];
+    ItemAccum& acc = accums[static_cast<std::size_t>(index)];
     ++acc.raters;
     acc.min = std::min(acc.min, rating);
     acc.sum += rating;
@@ -204,7 +163,8 @@ GroupTopK GroupScorer::TopK(std::span<const UserId> group, int k,
   const int group_size = static_cast<int>(group.size());
   const double r_min = store_.scale().min;
   for (std::size_t t = 0; t < scored.size(); ++t) {
-    scored[t].score = ScoreFromAccum(accums[t], group_size, options_, r_min);
+    scored[t].score = ScoreFromAccum(accums[t], group_size, options_.semantics,
+                                     options_.missing, r_min);
   }
   const std::size_t keep = std::min(kk, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
@@ -246,7 +206,7 @@ GroupTopK GroupScorer::TopK(std::span<const UserId> group, int k,
 }
 
 double GroupScorer::UntouchedScore(int group_size) const {
-  return ScoreFromAccum(Accum{}, group_size, options_, store_.scale().min);
+  return ScoreOf(ItemAccum{}, group_size);
 }
 
 double GroupScorer::AggregateSatisfaction(const GroupTopK& list,

@@ -2,6 +2,7 @@
 #define GROUPFORM_GROUPREC_GROUP_SCORER_H_
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -36,6 +37,49 @@ struct GroupTopK {
 inline bool BetterScoredItem(const ScoredItem& a, const ScoredItem& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.item < b.item;
+}
+
+/// One item's observed ratings within a group: how many members rated it,
+/// their minimum and their sum. GroupScorer::ScoreOf resolves it into the
+/// item's group score; the top-k kernel and the search family's move
+/// evaluator (exact/move_evaluator.h) both score through it.
+struct ItemAccum {
+  int raters = 0;
+  double min = std::numeric_limits<double>::infinity();
+  double sum = 0.0;
+};
+
+/// Resolves one item's accumulated ratings into its group score in a
+/// `group_size`-member group under the semantics and missing policy (the
+/// DESIGN.md §18.1 table). The one definition behind GroupScorer's
+/// ItemScore, TopK, ScoreOf and UntouchedScore.
+inline double ScoreFromAccum(const ItemAccum& acc, int group_size,
+                             Semantics semantics, MissingRatingPolicy missing,
+                             double r_min) {
+  // A zero-size group (precondition violation upstream) must not count as
+  // "complete": acc.min would be the +inf sentinel and leak out.
+  const bool complete = acc.raters == group_size && group_size > 0;
+  switch (missing) {
+    case MissingRatingPolicy::kScaleMin:
+      if (semantics == Semantics::kLeastMisery) {
+        return complete ? acc.min : r_min;
+      }
+      return acc.sum +
+             static_cast<double>(group_size - acc.raters) * r_min;
+    case MissingRatingPolicy::kZero:
+      if (semantics == Semantics::kLeastMisery) {
+        // A missing member contributes 0, which caps the min whenever the
+        // item is incomplete (in-scale ratings can still be negative on
+        // exotic scales, hence the std::min).
+        if (acc.raters == 0) return 0.0;
+        return complete ? acc.min : std::min(acc.min, 0.0);
+      }
+      return acc.sum;
+    case MissingRatingPolicy::kSkipUser:
+      if (acc.raters == 0) return r_min;
+      return semantics == Semantics::kLeastMisery ? acc.min : acc.sum;
+  }
+  return r_min;
 }
 
 /// The items a GroupScorer::TopK call may return. Non-owning: a set
@@ -106,6 +150,13 @@ class GroupScorer {
   GroupTopK TopK(std::span<const UserId> group, int k,
                  const CandidateFilter& filter =
                      CandidateFilter::AllItems()) const;
+
+  /// ScoreFromAccum under this scorer's semantics, missing policy and
+  /// scale.
+  double ScoreOf(const ItemAccum& acc, int group_size) const {
+    return ScoreFromAccum(acc, group_size, options_.semantics,
+                          options_.missing, store_.scale().min);
+  }
 
   /// The score of an item no member of a `group_size` group rated — the
   /// same for every such item (the DESIGN.md §18.1 table): r_min under LM

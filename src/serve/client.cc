@@ -93,6 +93,7 @@ common::StatusOr<WireClient> WireClient::Connect(const std::string& host,
     ::close(fd);
     return status;
   }
+  SetTcpNoDelay(fd);
   WireClient client(fd, wire);
   if (wire == Wire::kBinary) {
     GF_RETURN_IF_ERROR(client.SendBytes(

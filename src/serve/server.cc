@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -240,6 +241,11 @@ bool SendAll(int fd, const std::string& data) {
 
 }  // namespace
 
+void SetTcpNoDelay(int fd) {
+  const int enable = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
+}
+
 ServerConfig ServerConfigFromEnv() {
   ServerConfig config;
   config.port = static_cast<int>(
@@ -368,6 +374,7 @@ common::Status TcpServer::Serve() {
           common::StrFormat("accept: %s", std::strerror(error)));
       break;
     }
+    SetTcpNoDelay(fd);
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
       ++active_connections_;
@@ -615,6 +622,7 @@ common::StatusOr<std::vector<std::string>> SendRequestLines(
     ::close(fd);
     return status;
   }
+  SetTcpNoDelay(fd);
   std::string payload;
   for (const std::string& line : lines) {
     payload += line;

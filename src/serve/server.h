@@ -73,6 +73,13 @@ SessionConfig SessionConfigFromEnv();
 /// ratings fits with room to spare).
 inline constexpr std::int64_t kMaxRequestLineBytes = 64ll * 1024 * 1024;
 
+/// Disables Nagle's algorithm on a connected TCP socket. Every accepted
+/// serverd/brokerd connection and every outgoing connect sets it: against
+/// a peer that delays its ACKs, Nagle would otherwise hold each pipelined
+/// response (or request) until the peer's next send. A failure is
+/// ignored: the connection still works, only slower.
+void SetTcpNoDelay(int fd);
+
 /// Pipe mode: serves `in` until EOF, writing one response line per
 /// request line to `out` in request order (responses are flushed as they
 /// retire, so a pipelined client sees them stream). Empty lines are

@@ -2,6 +2,8 @@
 // small instances, valid everywhere.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/formation.h"
 #include "core/greedy.h"
 #include "data/synthetic.h"
@@ -83,6 +85,32 @@ TEST(LocalSearch, DeterministicForFixedSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->objective, b->objective);
+}
+
+TEST(LocalSearch, IntMaxKMatchesTheCatalogueSizedK) {
+  // At depth 0 every list holds the whole catalogue once k reaches its
+  // size, so k = INT_MAX (a valid request) must climb exactly as k = |I|.
+  const auto matrix = data::GenerateClusteredDense(40, 16, 4, 43);
+  for (const auto semantics :
+       {Semantics::kLeastMisery, Semantics::kAggregateVoting}) {
+    for (const auto aggregation :
+         {Aggregation::kMin, Aggregation::kSum, Aggregation::kMax}) {
+      const auto sized =
+          Problem(matrix, semantics, aggregation, matrix.num_items(), 5);
+      const auto huge = Problem(matrix, semantics, aggregation,
+                                std::numeric_limits<int>::max(), 5);
+      const auto a = exact::LocalSearchSolver(sized).Run();
+      const auto b = exact::LocalSearchSolver(huge).Run();
+      ASSERT_TRUE(a.ok()) << a.status();
+      ASSERT_TRUE(b.ok()) << b.status();
+      SCOPED_TRACE(huge.ToString());
+      EXPECT_EQ(b->objective, a->objective);  // bitwise
+      ASSERT_EQ(b->groups.size(), a->groups.size());
+      for (std::size_t g = 0; g < a->groups.size(); ++g) {
+        EXPECT_EQ(b->groups[g].members, a->groups[g].members);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -88,6 +89,56 @@ TEST_F(SessionTest, BadSolverOptionIsErrInvalidArgument) {
   EXPECT_EQ(response.state, eval::SweepCellState::kErr);
   EXPECT_EQ(response.status.code(),
             common::StatusCode::kInvalidArgument);
+}
+
+TEST_F(SessionTest, BadIntegerKnobsAnswerErrAndTheStreamContinues) {
+  // A cooling_interval of 0 once reached `step % cooling_interval` and
+  // killed the process with SIGFPE; 4294967296 truncated to 0 the same
+  // way. Every out-of-range integer knob of sa and localsearch must fail
+  // Create instead, answering ERR with the request's id, while the lines
+  // before and after it answer OK.
+  const std::vector<std::pair<std::string, std::pair<std::string,
+                                                     std::string>>>
+      bad = {{"sa", {"cooling_interval", "0"}},
+             {"sa", {"cooling_interval", "4294967296"}},
+             {"sa", {"cooling_interval", "-3"}},
+             {"sa", {"iterations", "-1"}},
+             {"sa", {"iterations", "2147483648"}},
+             {"localsearch", {"max_passes", "-1"}},
+             {"localsearch", {"max_passes", "9999999999"}},
+             {"localsearch", {"swap_samples", "-2"}},
+             {"localsearch", {"swap_samples", "4294967297"}}};
+  Session session;
+  for (const auto& [solver, knob] : bad) {
+    Request before = TestRequest("greedy");
+    before.id = "before";
+    Request broken = TestRequest(solver);
+    broken.id = "bad-" + knob.first;
+    broken.options.Set(knob.first, knob.second);
+    Request after = TestRequest("greedy");
+    after.id = "after";
+    std::vector<Response> responses;
+    for (const Request& request : {before, broken, after}) {
+      const auto parsed =
+          ParseResponseLine(session.HandleLine(RenderRequest(request)));
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      responses.push_back(*parsed);
+    }
+    SCOPED_TRACE(solver + " " + knob.first + "=" + knob.second);
+    EXPECT_EQ(responses[0].state, eval::SweepCellState::kOk);
+    EXPECT_EQ(responses[0].id, "before");
+    EXPECT_EQ(responses[1].state, eval::SweepCellState::kErr);
+    EXPECT_EQ(responses[1].status.code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(responses[1].id, broken.id);
+    EXPECT_EQ(responses[2].state, eval::SweepCellState::kOk);
+    EXPECT_EQ(responses[2].id, "after");
+  }
+  // The bounds themselves stay accepted.
+  Request edge = TestRequest("sa");
+  edge.options.Set("cooling_interval", "1");
+  edge.options.Set("iterations", "0");
+  EXPECT_EQ(session.Execute(edge).state, eval::SweepCellState::kOk);
 }
 
 TEST_F(SessionTest, UserCapAnswersDnfWithoutRunning) {

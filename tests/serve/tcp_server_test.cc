@@ -4,18 +4,22 @@
 // ephemeral port binds and reports itself, and Shutdown() unblocks
 // Serve() with connections drained.
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -132,6 +136,74 @@ TEST_F(TcpServerTest, SendRequestLinesRoundTripsABatch) {
     EXPECT_EQ(response->id, common::StrFormat("b%d", i));
   }
 
+  server.Shutdown();
+  serving.join();
+}
+
+/// The port of a socket's local (or, with `peer`, remote) IPv4 address;
+/// -1 when the fd is not a connected IPv4 stream socket.
+int SocketPort(int fd, bool peer) {
+  int type = 0;
+  socklen_t len = sizeof(type);
+  if (::getsockopt(fd, SOL_SOCKET, SO_TYPE, &type, &len) != 0 ||
+      type != SOCK_STREAM) {
+    return -1;
+  }
+  sockaddr_in addr{};
+  socklen_t addr_len = sizeof(addr);
+  auto* raw = reinterpret_cast<sockaddr*>(&addr);
+  if ((peer ? ::getpeername(fd, raw, &addr_len)
+            : ::getsockname(fd, raw, &addr_len)) != 0 ||
+      addr.sin_family != AF_INET) {
+    return -1;
+  }
+  return ntohs(addr.sin_port);
+}
+
+TEST_F(TcpServerTest, AcceptedAndConnectedSocketsSetNoDelay) {
+  // Both ends of a WireClient connection live in this process: the
+  // client's connect and the server's accept must each set TCP_NODELAY,
+  // or Nagle holds pipelined lines behind a delayed ACK.
+  common::ThreadPool::SetDefaultThreadCount(2);
+  Session session;
+  ServerConfig config;
+  config.port = 0;
+  TcpServer server(session, config);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { EXPECT_TRUE(server.Serve().ok()); });
+  {
+    auto client = WireClient::Connect("127.0.0.1", server.port(),
+                                      WireClient::Wire::kJson);
+    ASSERT_TRUE(client.ok()) << client.status();
+    // A round trip: the server has accepted and is serving the stream.
+    const auto response = client->Call(SmallRequest("nodelay"));
+    ASSERT_TRUE(response.ok()) << response.status();
+
+    int accepted = 0;
+    int connected = 0;
+    DIR* dir = ::opendir("/proc/self/fd");
+    ASSERT_NE(dir, nullptr);
+    while (const dirent* entry = ::readdir(dir)) {
+      if (entry->d_name[0] == '.') continue;
+      const int fd = std::atoi(entry->d_name);
+      const bool server_side = SocketPort(fd, /*peer=*/false) ==
+                                   server.port() &&
+                               SocketPort(fd, /*peer=*/true) > 0;
+      const bool client_side = SocketPort(fd, /*peer=*/true) == server.port();
+      if (!server_side && !client_side) continue;
+      int nodelay = 0;
+      socklen_t len = sizeof(nodelay);
+      ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+                0);
+      EXPECT_NE(nodelay, 0) << (server_side ? "accepted" : "connected")
+                            << " socket fd " << fd;
+      accepted += server_side ? 1 : 0;
+      connected += client_side ? 1 : 0;
+    }
+    ::closedir(dir);
+    EXPECT_EQ(accepted, 1);
+    EXPECT_EQ(connected, 1);
+  }
   server.Shutdown();
   serving.join();
 }

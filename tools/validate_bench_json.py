@@ -29,6 +29,13 @@ Default (bench) mode checks, for every BENCH_*.json in DIR
     topk_identical true on every row and, per backend, rows at 2k and
     200k items whose ns_per_call grows less than 2x between them — the
     kernel costs rated cells, not catalogue size;
+  * BENCH_local_search_*.json additionally carries the move-evaluation
+    report (DESIGN.md §19): a "local_search" object whose rows each report
+    items/semantics/trials plus numeric evaluator and reference ns per
+    trial and one-pass localsearch / 1200-iteration sa solve times, with
+    rows at 500, 5k and 20k items, trials_identical true on every row, and
+    reference_ns_per_trial >= 3x evaluator_ns_per_trial on every row (a
+    ratio within one run);
   * BENCH_serve_*.json additionally carries the serving-load report
     (DESIGN.md §15): a "serve" object whose rows each report
     wire/mode/threads/requests/batch_size plus numeric rps and p50/p99
@@ -222,6 +229,62 @@ def validate_topk_kernel(path, doc):
                 f"{TOPK_LARGE_ITEMS} items, at most {MAX_TOPK_GROWTH}x "
                 f"allowed",
             )
+    return ok
+
+
+LOCAL_SEARCH_ITEMS = [500, 5_000, 20_000]
+LOCAL_SEARCH_ROW_NUMERIC_KEYS = [
+    "evaluator_ns_per_trial",
+    "reference_ns_per_trial",
+    "localsearch_one_pass_ms",
+    "sa_1200_ms",
+]
+MIN_LOCAL_SEARCH_SPEEDUP = 3.0
+
+
+def validate_local_search(path, doc):
+    """BENCH_local_search_*.json: the move-evaluation report (DESIGN.md §19)."""
+    report = doc.get("local_search")
+    if not isinstance(report, dict):
+        return fail(path, "local-search bench without a local_search object")
+    rows = report.get("rows")
+    if not isinstance(rows, list) or not rows:
+        return fail(path, "local_search.rows must be a non-empty array")
+    ok = True
+    sizes = set()
+    for index, row in enumerate(rows):
+        items = row.get("items")
+        semantics = row.get("semantics")
+        trials = row.get("trials")
+        if not isinstance(items, int) or items <= 0:
+            ok = fail(path, f"local_search row {index}: bad items {items!r}")
+            continue
+        if not isinstance(semantics, str) or not semantics:
+            ok = fail(path, f"local_search row {index} without semantics")
+            continue
+        where = f"local_search {semantics} at {items} items"
+        if not isinstance(trials, int) or trials <= 0:
+            ok = fail(path, f"{where}: bad trials {trials!r}")
+        numeric = True
+        for key in LOCAL_SEARCH_ROW_NUMERIC_KEYS:
+            value = row.get(key)
+            if not isinstance(value, (int, float)) or value <= 0:
+                numeric = ok = fail(path, f"{where}: bad {key} {value!r}")
+        if row.get("trials_identical") is not True:
+            ok = fail(path, f"{where}: trials_identical is not true")
+        if numeric:
+            speedup = (row["reference_ns_per_trial"] /
+                       row["evaluator_ns_per_trial"])
+            if speedup < MIN_LOCAL_SEARCH_SPEEDUP:
+                ok = fail(
+                    path,
+                    f"{where}: reference/evaluator is {speedup:.2f}x, at "
+                    f"least {MIN_LOCAL_SEARCH_SPEEDUP}x required",
+                )
+        sizes.add(items)
+    missing = [size for size in LOCAL_SEARCH_ITEMS if size not in sizes]
+    if missing:
+        ok = fail(path, f"local_search: no rows at {missing} items")
     return ok
 
 
@@ -438,6 +501,8 @@ def validate_file(path, required_solvers):
         ok = validate_scale(path, doc) and ok
     if path.name.startswith("BENCH_topk_"):
         ok = validate_topk_kernel(path, doc) and ok
+    if path.name.startswith("BENCH_local_search"):
+        ok = validate_local_search(path, doc) and ok
     if path.name.startswith("BENCH_serve_"):
         ok = validate_serve(path, doc) and ok
     if path.name.startswith("BENCH_fleet_"):
