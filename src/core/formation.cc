@@ -33,6 +33,15 @@ Status FormationProblem::Validate() const {
     return Status::InvalidArgument(StrFormat(
         "candidate_depth must be >= 0, got %d", candidate_depth));
   }
+  if (personal_topk != nullptr &&
+      (personal_topk->k() != k ||
+       personal_topk->num_users() != store.num_users())) {
+    return Status::InvalidArgument(StrFormat(
+        "personal_topk holds k=%d lists for %d users, the problem has "
+        "k=%d and %d users",
+        personal_topk->k(), personal_topk->num_users(), k,
+        store.num_users()));
+  }
   // Structural + id-range constraint checks only: whether the bounds are
   // *satisfiable* is the constrained family's question (ConstraintSpec::
   // Validate), so unconstrained solvers keep running on constraint-
@@ -58,6 +67,18 @@ std::string FormationProblem::ToString() const {
                    matrix != nullptr || compact != nullptr
                        ? Store().num_items()
                        : 0);
+}
+
+const recsys::PreferenceListStore& PersonalTopK(
+    const FormationProblem& problem,
+    std::optional<recsys::PreferenceListStore>& owned) {
+  if (problem.personal_topk == nullptr) {
+    return owned.emplace(problem.Store(), problem.k);
+  }
+  GF_CHECK_EQ(problem.personal_topk->k(), problem.k);
+  GF_CHECK_EQ(problem.personal_topk->num_users(),
+              problem.Store().num_users());
+  return *problem.personal_topk;
 }
 
 std::vector<double> FormationResult::GroupSizes() const {

@@ -1,6 +1,7 @@
 #ifndef GROUPFORM_CORE_FORMATION_H_
 #define GROUPFORM_CORE_FORMATION_H_
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "data/rating_store.h"
 #include "grouprec/group_scorer.h"
 #include "grouprec/semantics.h"
+#include "recsys/preference_lists.h"
 
 namespace groupform::core {
 
@@ -54,6 +56,14 @@ struct FormationProblem {
   /// the solvers, so greedy on a constraint-bearing problem still runs
   /// (it is the unconstrained bound in the constrained_ablation sweep).
   ConstraintSpec constraints;
+  /// Personal top-k lists of this population at this k (DESIGN.md §20).
+  /// Not owned, like `matrix` and `compact`. Serving builds one per
+  /// request, so greedy's step 1 and the response metrics share one
+  /// selection pass. Null (library, CLI and sweep callers) makes each
+  /// reader build its own through PersonalTopK(); the lists are the same
+  /// either way. When set it must be built from this backend at this k
+  /// (Validate() checks the k and the population).
+  const recsys::PreferenceListStore* personal_topk = nullptr;
 
   /// The rating backend as a read-side view. Requires one of
   /// `matrix`/`compact` to be set (Validate() enforces this for solvers).
@@ -65,7 +75,7 @@ struct FormationProblem {
   }
 
   /// OK when the instance is well-formed (a backend present and non-empty,
-  /// k >= 1, max_groups >= 1).
+  /// k >= 1, max_groups >= 1, personal_topk absent or matching).
   common::Status Validate() const;
 
   /// A GroupScorer configured for this problem's semantics and policy.
@@ -114,6 +124,13 @@ struct FormationResult {
   /// Multi-line description (group members, lists, scores).
   std::string ToString() const;
 };
+
+/// The problem's personal top-k lists: *problem.personal_topk when set
+/// (checked against the problem's k and population), otherwise a store
+/// built from the problem's backend into `owned`.
+const recsys::PreferenceListStore& PersonalTopK(
+    const FormationProblem& problem,
+    std::optional<recsys::PreferenceListStore>& owned);
 
 /// Checks that `result` is a valid solution of `problem`: groups are
 /// non-empty, disjoint, cover every user, and respect max_groups; and that

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,16 +27,18 @@ std::string GreedyFormer::AlgorithmName(const FormationProblem& problem) {
 
 common::StatusOr<FormationResult> GreedyFormer::Run() const {
   GF_RETURN_IF_ERROR(problem_.Validate());
-  const data::RatingStore matrix = problem_.Store();
-  const int n = matrix.num_users();
+  const int n = problem_.Store().num_users();
 
-  // Step 1 — intermediate groups: one hash pass over per-user top-k lists.
+  // Step 1 — intermediate groups: one hash pass over per-user top-k lists,
+  // read from the request's shared store when the caller built one.
   // Each bucket accumulates its per-position group scores incrementally
   // (min for LM, sum for AV), so scoring stays O(k) per user.
+  std::optional<recsys::PreferenceListStore> owned;
+  const recsys::PreferenceListStore& lists = PersonalTopK(problem_, owned);
   std::unordered_map<BucketKey, Bucket, BucketKeyHash> buckets;
   buckets.reserve(static_cast<std::size_t>(n) * 2);
   for (UserId u = 0; u < n; ++u) {
-    const auto topk = recsys::TopKList(matrix, u, problem_.k);
+    const auto topk = lists.TopK(u);
     BucketKey key = MakeBucketKey(problem_, topk);
     Bucket& bucket = buckets[std::move(key)];
     AccumulateMember(problem_, topk, bucket);

@@ -38,8 +38,9 @@ namespace groupform::core {
 /// paper's Examples 1, 2 and 5): lexicographically greater per-position
 /// score vector first, then larger bucket, then smaller first member id.
 ///
-/// Complexity: O(n k) bucket construction after top-k extraction
-/// (O(sum_u d_u log k)), plus O(B log ell) selection over B <= n buckets
+/// Complexity: O(n k) bucket construction after top-k extraction (one
+/// recsys::SelectTopK pass over the ratings, skipped when the problem
+/// carries personal_topk), plus O(B log ell) selection over B <= n buckets
 /// and the residual group's recommendation — matching the paper's
 /// O(nk + ell log n) bound.
 class GreedyFormer : public FormationSolver {

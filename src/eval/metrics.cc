@@ -1,6 +1,7 @@
 #include "eval/metrics.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "recsys/preference_lists.h"
@@ -61,7 +62,9 @@ double MeanPerUserSatisfaction(const core::FormationProblem& problem,
 
 double FullySatisfiedFraction(const core::FormationProblem& problem,
                               const core::FormationResult& result) {
-  const data::RatingStore matrix = problem.Store();
+  std::optional<recsys::PreferenceListStore> owned;
+  const recsys::PreferenceListStore& lists =
+      core::PersonalTopK(problem, owned);
   std::int64_t satisfied = 0;
   std::int64_t users = 0;
   for (const auto& g : result.groups) {
@@ -74,7 +77,7 @@ double FullySatisfiedFraction(const core::FormationProblem& problem,
     std::sort(rec_items.begin(), rec_items.end());
     for (UserId u : g.members) {
       ++users;
-      const auto personal = recsys::TopKList(matrix, u, problem.k);
+      const auto personal = lists.TopK(u);
       if (personal.size() != rec_items.size()) continue;
       std::vector<ItemId> personal_items;
       personal_items.reserve(personal.size());

@@ -11,6 +11,9 @@ namespace groupform::eval {
 /// always sums the per-item group scores of every recommended item,
 /// whatever aggregation the formation optimised — the paper uses it to show
 /// Min-optimised groupings still satisfy users across the whole list.
+/// The list is recomputed with ComputeGroupList rather than read from
+/// FormedGroup::recommendation: a solver's list can differ from the
+/// group's full-catalogue top-k in its score sum (DESIGN.md §20.3).
 double AvgGroupSatisfaction(const core::FormationProblem& problem,
                             const core::FormationResult& result);
 
@@ -26,7 +29,8 @@ double MeanPerUserSatisfaction(const core::FormationProblem& problem,
 
 /// Fraction of users whose group's recommended list equals their personal
 /// top-k list as a set (the paper's "fully satisfied" users: everyone in
-/// the first ell-1 greedy groups under Min/Sum keys).
+/// the first ell-1 greedy groups under Min/Sum keys). Personal lists come
+/// from core::PersonalTopK: the problem's shared store when set.
 double FullySatisfiedFraction(const core::FormationProblem& problem,
                               const core::FormationResult& result);
 

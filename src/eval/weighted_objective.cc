@@ -1,5 +1,6 @@
 #include "eval/weighted_objective.h"
 
+#include <optional>
 #include <vector>
 
 namespace groupform::eval {
@@ -41,13 +42,17 @@ double NdcgObjective(const core::FormationProblem& problem,
 
 double MeanUserNdcg(const core::FormationProblem& problem,
                     const core::FormationResult& result) {
+  std::optional<recsys::PreferenceListStore> owned;
+  const recsys::PreferenceListStore& lists =
+      core::PersonalTopK(problem, owned);
+  const data::RatingStore store = problem.Store();
   double total = 0.0;
   std::int64_t users = 0;
   for (const auto& g : result.groups) {
     const auto items = ListItems(g.recommendation);
     for (UserId u : g.members) {
-      total += grouprec::UserNdcg(problem.Store(), u, items, problem.k,
-                                  problem.missing);
+      total += grouprec::UserNdcg(store, u, items, problem.k,
+                                  problem.missing, lists.TopK(u));
       ++users;
     }
   }

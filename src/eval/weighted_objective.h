@@ -27,7 +27,8 @@ double NdcgObjective(const core::FormationProblem& problem,
                      const core::FormationResult& result);
 
 /// Mean NDCG@k over all users — a per-user fairness view of the same
-/// measure (1.0 = everyone got their personal ideal list).
+/// measure (1.0 = everyone got their personal ideal list). Ideal lists
+/// come from core::PersonalTopK: the problem's shared store when set.
 double MeanUserNdcg(const core::FormationProblem& problem,
                     const core::FormationResult& result);
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "recsys/preference_lists.h"
 
 namespace groupform::grouprec {
 namespace {
@@ -43,6 +44,14 @@ double WeightedSumSatisfaction(const GroupTopK& list,
 double UserNdcg(const data::RatingStore& store, UserId user,
                 std::span<const ItemId> recommended, int k,
                 MissingRatingPolicy missing) {
+  return UserNdcg(store, user, recommended, k, missing,
+                  recsys::TopKList(store, user, k));
+}
+
+double UserNdcg(const data::RatingStore& store, UserId user,
+                std::span<const ItemId> recommended, int k,
+                MissingRatingPolicy missing,
+                std::span<const data::RatingEntry> ideal) {
   GF_CHECK_GT(k, 0);
   const double r_min = store.scale().min;
   const auto relevance = [&](ItemId item) -> double {
@@ -71,15 +80,10 @@ double UserNdcg(const data::RatingStore& store, UserId user,
   }
 
   // Ideal DCG: the user's own k highest ratings (rating desc, item asc).
-  std::vector<double> ratings;
-  ratings.reserve(static_cast<std::size_t>(store.NumRatingsOf(user)));
-  store.VisitRow(user, [&ratings](ItemId, Rating rating) {
-    ratings.push_back(rating);
-  });
-  std::sort(ratings.begin(), ratings.end(), std::greater<>());
+  GF_DCHECK(ideal.size() <= static_cast<std::size_t>(k));
   double idcg = 0.0;
-  for (int j = 0; j < k && j < static_cast<int>(ratings.size()); ++j) {
-    idcg += GainOf(ratings[static_cast<std::size_t>(j)]) * DiscountOf(j);
+  for (std::size_t j = 0; j < ideal.size(); ++j) {
+    idcg += GainOf(ideal[j].rating) * DiscountOf(static_cast<int>(j));
   }
   if (idcg <= 0.0) return 0.0;
   return dcg / idcg;

@@ -38,6 +38,15 @@ double UserNdcg(const data::RatingStore& store, UserId user,
                 std::span<const ItemId> recommended, int k,
                 MissingRatingPolicy missing = MissingRatingPolicy::kScaleMin);
 
+/// UserNdcg with the user's ideal list supplied: `ideal` must be the
+/// user's top-k list, best first (recsys::TopKList, or
+/// recsys::PreferenceListStore::TopK at the same k). The overload above
+/// selects it itself; both return the same bits.
+double UserNdcg(const data::RatingStore& store, UserId user,
+                std::span<const ItemId> recommended, int k,
+                MissingRatingPolicy missing,
+                std::span<const data::RatingEntry> ideal);
+
 /// Group satisfaction under §6's user-level weighting: per-user NDCG values
 /// combined with the group semantics (LM = min of member NDCGs, AV = sum).
 double GroupNdcgSatisfaction(const data::RatingStore& store,

@@ -259,7 +259,7 @@ Response Session::ExecuteLoaded(
     return FailWith(std::move(response), eval::SweepCellState::kErr,
                     problem_or.status());
   }
-  const core::FormationProblem& problem = *problem_or;
+  core::FormationProblem& problem = *problem_or;
 
   // Anytime solvers (DESIGN.md §17.4) own the budget: instead of the
   // expired-before-start DNF, serve hands them the remaining wall-clock
@@ -290,6 +290,14 @@ Response Session::ExecuteLoaded(
                         "deadline_ms expired before execution started"));
   }
 
+  // One personal top-k pass per request (DESIGN.md §20): the greedy
+  // family's step 1 and the response metrics read these lists. Solvers
+  // copy the problem at registry resolution, so the pointer is set first;
+  // factories read no lists, so the lists are built only once resolution
+  // has accepted the solver and its options.
+  recsys::PreferenceListStore personal_topk;
+  problem.personal_topk = &personal_topk;
+
   // Registry resolution runs the factory's strict GetChecked* option
   // validation — a bad override fails here, exactly as the CLI's
   // --solver-opt does.
@@ -300,7 +308,9 @@ Response Session::ExecuteLoaded(
                     solver_or.status());
   }
 
+  // The stopwatch covers the list pass, as it covered greedy's own.
   common::Stopwatch stopwatch;
+  personal_topk = recsys::PreferenceListStore(store, problem.k);
   // A SolveHook replaces only the solve itself — registry resolution (and
   // its strict option validation) above keeps running, so a hooked
   // request fails on exactly the inputs a plain one would.
@@ -547,7 +557,14 @@ Response Session::ExecuteDelta(
                         static_cast<long long>(request.deadline_ms))));
   }
 
-  FillOkResponse(response, request, problem, solved->current, seconds);
+  // The metrics' personal lists, one pass (DESIGN.md §20). The delta
+  // routes solve other problems (the base, prefix epochs), so only the
+  // response reads it.
+  const recsys::PreferenceListStore personal_topk(*epoch.matrix, problem.k);
+  core::FormationProblem metrics_problem = problem;
+  metrics_problem.personal_topk = &personal_topk;
+  FillOkResponse(response, request, metrics_problem, solved->current,
+                 seconds);
   response.objective_delta_vs_previous =
       solved->current.objective - solved->previous_objective;
   response.warm_start_passes = solved->current.refine_passes;

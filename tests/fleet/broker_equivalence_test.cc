@@ -239,7 +239,7 @@ TEST_F(BrokerEquivalenceTest, MalformedLineAnswersSameErrAsWorker) {
                          serve::WireClient::Wire::kBinary);
   BrokerConfig config;
   BrokerSession broker(config, transport);
-  for (const std::string line :
+  for (const std::string& line :
        {std::string("{not json"), std::string("{\"schema\":\"nope/9\"}")}) {
     EXPECT_EQ(broker.HandleLine(line, now), session.HandleLine(line, now))
         << line;

@@ -284,7 +284,7 @@ TEST(BatchEnvelope, RequestSpliceRoundTripsThroughTheParser) {
 }
 
 TEST(BatchEnvelope, SplitRejectsNonCanonicalEnvelopes) {
-  for (const std::string bad : {
+  for (const std::string& bad : {
            std::string("{\"schema\":\"groupform.response/1\"}"),
            std::string("{\"schema\":\"groupform.batchresponse/1\","
                        "\"responses\":[],\"id\":\"x\"}"),  // wrong order

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -247,6 +248,32 @@ TEST_F(SessionTest, ProblemKnobsReachTheSolver) {
   ASSERT_EQ(lm.state, eval::SweepCellState::kOk) << lm.status;
   // Different semantics/aggregation/k must not produce the same envelope.
   EXPECT_NE(RenderResponse(av), RenderResponse(lm));
+}
+
+TEST_F(SessionTest, IntMaxKAnswersTheBytesOfTheCatalogueSizedK) {
+  // k = INT_MAX is a valid wire k. The request's personal top-k store
+  // (DESIGN.md §20) is sized by rated cells, not by k, so it answers OK —
+  // with the bytes of k = |I|, since every list then holds the whole row.
+  Session session;
+  for (const char* solver : {"greedy", "localsearch"}) {
+    for (const char* semantics : {"lm", "av"}) {
+      for (const char* aggregation : {"min", "sum", "max"}) {
+        Request sized = TestRequest(solver);
+        sized.include_groups = true;
+        sized.problem.semantics = semantics;
+        sized.problem.aggregation = aggregation;
+        sized.problem.k = TestInstance().items;
+        Request huge = sized;
+        huge.problem.k = std::numeric_limits<int>::max();
+        const std::string a = session.HandleLine(RenderRequest(sized));
+        const std::string b = session.HandleLine(RenderRequest(huge));
+        SCOPED_TRACE(std::string(solver) + " " + semantics + "/" +
+                     aggregation);
+        EXPECT_NE(a.find("\"state\":\"OK\""), std::string::npos) << a;
+        EXPECT_EQ(b, a);
+      }
+    }
+  }
 }
 
 }  // namespace

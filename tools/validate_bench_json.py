@@ -36,6 +36,13 @@ Default (bench) mode checks, for every BENCH_*.json in DIR
     rows at 500, 5k and 20k items, trials_identical true on every row, and
     reference_ns_per_trial >= 3x evaluator_ns_per_trial on every row (a
     ratio within one run);
+  * BENCH_response_metrics*.json additionally carries the response-metric
+    report (DESIGN.md §20): a "response_metrics" object whose rows each
+    report users/k plus numeric self_ms, store_build_ms, with_store_ms and
+    store_bytes, with rows at 2000 and 5000 users x k 5 and 10,
+    values_identical true on every row, and
+    self_ms >= 1.2x (store_build_ms + with_store_ms) on every row (a ratio
+    within one run);
   * BENCH_serve_*.json additionally carries the serving-load report
     (DESIGN.md §15): a "serve" object whose rows each report
     wire/mode/threads/requests/batch_size plus numeric rps and p50/p99
@@ -288,6 +295,69 @@ def validate_local_search(path, doc):
     return ok
 
 
+RESPONSE_METRICS_USERS = [2_000, 5_000]
+RESPONSE_METRICS_KS = [5, 10]
+RESPONSE_METRICS_NUMERIC_KEYS = [
+    "self_ms",
+    "store_build_ms",
+    "with_store_ms",
+    "store_bytes",
+]
+# The self path selects every user's top-k twice (mean_user_ndcg and
+# fully_satisfied each build a store) and makes the same reads; the
+# store-backed path builds once. So self / (build + reads) is below 2 by
+# construction; it reads 1.4-1.5 on a 4-core x86 VM.
+MIN_RESPONSE_METRICS_SPEEDUP = 1.2
+
+
+def validate_response_metrics(path, doc):
+    """BENCH_response_metrics*.json: the metric-store report (DESIGN.md §20)."""
+    report = doc.get("response_metrics")
+    if not isinstance(report, dict):
+        return fail(path, "response-metrics bench without a "
+                    "response_metrics object")
+    rows = report.get("rows")
+    if not isinstance(rows, list) or not rows:
+        return fail(path, "response_metrics.rows must be a non-empty array")
+    ok = True
+    shapes = set()
+    for index, row in enumerate(rows):
+        users = row.get("users")
+        k = row.get("k")
+        if not isinstance(users, int) or users <= 0:
+            ok = fail(path, f"response_metrics row {index}: bad users "
+                      f"{users!r}")
+            continue
+        if not isinstance(k, int) or k <= 0:
+            ok = fail(path, f"response_metrics row {index}: bad k {k!r}")
+            continue
+        where = f"response_metrics {users} users at k={k}"
+        numeric = True
+        for key in RESPONSE_METRICS_NUMERIC_KEYS:
+            value = row.get(key)
+            if not isinstance(value, (int, float)) or value <= 0:
+                numeric = ok = fail(path, f"{where}: bad {key} {value!r}")
+        if row.get("values_identical") is not True:
+            ok = fail(path, f"{where}: values_identical is not true")
+        if numeric:
+            # The store-backed side pays its own build, as if no solver
+            # shared it.
+            speedup = row["self_ms"] / (row["store_build_ms"] +
+                                        row["with_store_ms"])
+            if speedup < MIN_RESPONSE_METRICS_SPEEDUP:
+                ok = fail(
+                    path,
+                    f"{where}: self/(build+with_store) is {speedup:.2f}x, "
+                    f"at least {MIN_RESPONSE_METRICS_SPEEDUP}x required",
+                )
+        shapes.add((users, k))
+    missing = [(users, k) for users in RESPONSE_METRICS_USERS
+               for k in RESPONSE_METRICS_KS if (users, k) not in shapes]
+    if missing:
+        ok = fail(path, f"response_metrics: no rows at (users, k) {missing}")
+    return ok
+
+
 SERVE_ROW_WIRES = {"json", "binary"}
 SERVE_ROW_MODES = {"single", "batch"}
 
@@ -503,6 +573,8 @@ def validate_file(path, required_solvers):
         ok = validate_topk_kernel(path, doc) and ok
     if path.name.startswith("BENCH_local_search"):
         ok = validate_local_search(path, doc) and ok
+    if path.name.startswith("BENCH_response_metrics"):
+        ok = validate_response_metrics(path, doc) and ok
     if path.name.startswith("BENCH_serve_"):
         ok = validate_serve(path, doc) and ok
     if path.name.startswith("BENCH_fleet_"):
