@@ -1,22 +1,22 @@
-// Music listening rooms (FlyTrap-style, paper §1): sparse explicit
-// feedback is densified with a trained predictor first — the paper's
-// "standard pre-processing for collaborative filtering and rating
-// prediction" — and groups are then formed on the densified preferences.
-// This example exercises the full pipeline: synthetic sparse data ->
-// matrix-factorisation training -> prediction densification -> group
-// formation -> per-room playlists.
+// Music listening rooms (FlyTrap-style, paper §1): listeners rated only a
+// few songs each, and rooms are formed on that sparse explicit feedback
+// directly. The paper assumes a complete (predicted) rating matrix; here
+// a song a listener never rated scores the scale minimum for that
+// listener (the default missing-rating policy, DESIGN.md §3), which least
+// misery then treats like a hated track. This example exercises sparse
+// data -> group formation -> per-room playlists.
 //
 // Run: ./build/examples/music_sessions
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
+#include <vector>
 
 #include "core/formation.h"
 #include "core/greedy.h"
-#include "data/dataset_stats.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "grouprec/semantics.h"
-#include "recsys/matrix_factorization.h"
-#include "recsys/predictor.h"
 
 int main() {
   using namespace groupform;
@@ -27,25 +27,14 @@ int main() {
   config.max_ratings_per_user = 40;
   const auto sparse = data::GenerateLatentFactor(config);
 
-  // Train the predictor and validate it on a holdout before trusting it.
-  const auto split = recsys::SplitHoldout(sparse, 0.15, /*seed=*/3);
-  recsys::MfPredictor::Options mf_options;
-  mf_options.num_epochs = 25;
-  const recsys::MfPredictor predictor(split.train, mf_options);
-  std::printf("MF predictor: train RMSE %.3f, holdout RMSE %.3f\n",
-              predictor.final_train_rmse(),
-              recsys::Rmse(predictor, split.test));
-
-  // Densify: predicted ratings for the 100 most popular songs.
-  const auto dense = recsys::DensifyWithPredictions(sparse, predictor, 100);
-  std::printf("densified: %lld -> %lld ratings\n",
+  std::printf("%lld ratings from %d listeners over %d songs (density %.3f)\n",
               static_cast<long long>(sparse.num_ratings()),
-              static_cast<long long>(dense.num_ratings()));
+              sparse.num_users(), sparse.num_items(), sparse.Density());
 
   // Form 20 listening rooms, playlist of 8 songs each, least misery so no
-  // room member suffers through a hated track.
+  // room member suffers through a hated (or unheard) track.
   core::FormationProblem problem;
-  problem.matrix = &dense;
+  problem.matrix = &sparse;
   problem.semantics = grouprec::Semantics::kLeastMisery;
   problem.aggregation = grouprec::Aggregation::kMin;
   problem.k = 8;
@@ -63,10 +52,18 @@ int main() {
               eval::MeanPerUserSatisfaction(problem, *rooms));
 
   // Print the three largest rooms' playlists.
-  for (int printed = 0; printed < 3 && printed < rooms->num_groups();
+  std::vector<std::size_t> order(rooms->groups.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return rooms->groups[a].members.size() >
+                            rooms->groups[b].members.size();
+                   });
+  for (std::size_t printed = 0; printed < 3 && printed < order.size();
        ++printed) {
-    const auto& room = rooms->groups[static_cast<std::size_t>(printed)];
-    std::printf("room %d (%zu listeners): ", printed, room.members.size());
+    const auto& room = rooms->groups[order[printed]];
+    std::printf("room %zu (%zu listeners): ", order[printed],
+                room.members.size());
     for (const auto& si : room.recommendation.items) {
       std::printf("song-%d ", si.item);
     }

@@ -1,7 +1,6 @@
 #include "eval/experiment.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -11,80 +10,49 @@
 
 namespace groupform::eval {
 
-const char* AlgorithmKindToString(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kGreedy:
-      return "GRD";
-    case AlgorithmKind::kBaseline:
-      return "Baseline";
-    case AlgorithmKind::kExactDp:
-      return "OPT";
-    case AlgorithmKind::kLocalSearch:
-      return "OPT*";
-    case AlgorithmKind::kSimulatedAnnealing:
-      return "SA";
-    case AlgorithmKind::kBranchAndBound:
-      return "BNB";
-    case AlgorithmKind::kVectorKMeans:
-      return "VecKMeans";
+namespace {
+
+/// The paper's solver families in its column order (contribution,
+/// baselines, optimal references), each with the label its column prints.
+struct PaperSolver {
+  const char* name;
+  const char* label;
+};
+constexpr PaperSolver kPaperSolvers[] = {
+    {"greedy", "GRD"},       {"baseline", "Baseline"},
+    {"veckmeans", "VecKMeans"}, {"localsearch", "OPT*"},
+    {"sa", "SA"},            {"exact", "OPT"},
+    {"bnb", "BNB"},          {"brute", "Brute"},
+};
+
+const PaperSolver* FindPaperSolver(const std::string& name) {
+  for (const auto& solver : kPaperSolvers) {
+    if (name == solver.name) return &solver;
   }
-  return "?";
+  return nullptr;
 }
 
-const char* AlgorithmKindToRegistryName(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kGreedy:
-      return "greedy";
-    case AlgorithmKind::kBaseline:
-      return "baseline";
-    case AlgorithmKind::kExactDp:
-      return "exact";
-    case AlgorithmKind::kLocalSearch:
-      return "localsearch";
-    case AlgorithmKind::kSimulatedAnnealing:
-      return "sa";
-    case AlgorithmKind::kBranchAndBound:
-      return "bnb";
-    case AlgorithmKind::kVectorKMeans:
-      return "veckmeans";
-  }
-  return "?";
-}
+}  // namespace
 
 std::string SolverDisplayLabel(const std::string& registry_name) {
-  // The inverse of AlgorithmKindToRegistryName over the enum's range,
-  // plus the registered-but-unlabelled "brute"; pinned against the enum by
-  // the registry-drift test so the two shims cannot diverge.
-  static const std::map<std::string, std::string> kLabels = {
-      {"greedy", "GRD"},       {"baseline", "Baseline"},
-      {"exact", "OPT"},        {"localsearch", "OPT*"},
-      {"sa", "SA"},            {"bnb", "BNB"},
-      {"veckmeans", "VecKMeans"}, {"brute", "Brute"},
-  };
-  const auto it = kLabels.find(registry_name);
-  return it == kLabels.end() ? registry_name : it->second;
+  const PaperSolver* solver = FindPaperSolver(registry_name);
+  return solver == nullptr ? registry_name : solver->label;
 }
 
 std::vector<std::string> OrderSolversForDisplay(
     std::vector<std::string> names) {
-  // The paper's column order (contribution, baselines, optimal
-  // references), then everything the paper never heard of alphabetically.
-  static const char* const kPaperOrder[] = {
-      "greedy", "baseline", "veckmeans", "localsearch",
-      "sa",     "exact",    "bnb",       "brute"};
+  // The paper's column order, then everything the paper never heard of
+  // alphabetically.
   std::vector<std::string> ordered;
   ordered.reserve(names.size());
-  for (const char* known : kPaperOrder) {
+  for (const auto& known : kPaperSolvers) {
     for (const auto& name : names) {
-      if (name == known) ordered.push_back(name);
+      if (name == known.name) ordered.push_back(name);
     }
   }
   std::vector<std::string> rest;
   for (const auto& name : names) {
-    if (std::find(std::begin(kPaperOrder), std::end(kPaperOrder), name) ==
-        std::end(kPaperOrder)) {
-      rest.push_back(name);
-    }
+    if (FindPaperSolver(name) == nullptr) rest.push_back(name);
   }
   std::sort(rest.begin(), rest.end());
   ordered.insert(ordered.end(), rest.begin(), rest.end());

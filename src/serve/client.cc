@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "eval/sweep_json.h"
 #include "serve/server.h"
 
 namespace groupform::serve {
@@ -23,22 +22,6 @@ using common::Status;
 Status Errno(const char* what) {
   return Status::Internal(
       common::StrFormat("%s: %s", what, std::strerror(errno)));
-}
-
-/// Splices already-rendered request documents into a batch envelope
-/// without reparsing them — the client-side half of the batch
-/// amortisation.
-std::string SpliceBatchEnvelope(const std::vector<std::string>& lines,
-                                const std::string& batch_id) {
-  eval::JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("schema").String(kBatchRequestSchema);
-  writer.Key("id").String(batch_id);
-  writer.Key("requests").BeginArray();
-  for (const std::string& line : lines) writer.Raw(line);
-  writer.EndArray();
-  writer.EndObject();
-  return writer.str();
 }
 
 /// Batch responses come back re-rendered per element. Canonical render
@@ -223,8 +206,10 @@ common::StatusOr<std::vector<std::string>> WireClient::CallBatch(
   if (request_lines.empty()) {
     return Status::InvalidArgument("empty batch");
   }
+  // The element documents are spliced verbatim, not reparsed: the
+  // client-side half of the batch amortisation.
   const std::string envelope =
-      SpliceBatchEnvelope(request_lines, batch_id);
+      RenderBatchRequestFromDocs(batch_id, request_lines);
   if (wire_ == Wire::kJson) {
     GF_RETURN_IF_ERROR(SendBytes(envelope + "\n"));
     GF_ASSIGN_OR_RETURN(const std::string line, ReadLine());

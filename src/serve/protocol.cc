@@ -1215,12 +1215,6 @@ common::StatusOr<Response> ParseResponseLine(const std::string& line) {
   return ParseResponseDoc(root);
 }
 
-common::StatusOr<BatchRequest> ParseBatchRequestLine(const std::string& line) {
-  JsonParser parser(line);
-  GF_ASSIGN_OR_RETURN(const JsonValue root, parser.Parse());
-  return ParseBatchRequestDoc(root);
-}
-
 std::string RenderBatchRequest(const BatchRequest& batch) {
   eval::JsonWriter writer;
   writer.BeginObject();
@@ -1514,13 +1508,6 @@ common::StatusOr<ShardRequest> ParseShardRequestDoc(const JsonValue& root) {
 }
 
 }  // namespace
-
-common::StatusOr<ShardRequest> ParseShardRequestLine(
-    const std::string& line) {
-  JsonParser parser(line);
-  GF_ASSIGN_OR_RETURN(const JsonValue root, parser.Parse());
-  return ParseShardRequestDoc(root);
-}
 
 std::string RenderShardRequest(const ShardRequest& request) {
   eval::JsonWriter writer;

@@ -266,13 +266,8 @@ struct BatchResponse {
   std::vector<Response> responses;
 };
 
-/// Parses one batch line. INVALID_ARGUMENT on a malformed envelope, an
-/// empty or oversized requests array, or any malformed element (the error
-/// names the element index); a batch inside a batch is malformed.
-common::StatusOr<BatchRequest> ParseBatchRequestLine(const std::string& line);
-
 /// Canonical one-line rendering: schema, id, then each element's full
-/// RenderRequest document in order. ParseBatchRequestLine is its inverse.
+/// RenderRequest document in order. ParseAnyRequestLine is its inverse.
 std::string RenderBatchRequest(const BatchRequest& batch);
 
 std::string RenderBatchResponse(const BatchResponse& batch);
@@ -348,7 +343,6 @@ struct ShardRequest {
   std::int32_t item_end = 0;
 };
 
-common::StatusOr<ShardRequest> ParseShardRequestLine(const std::string& line);
 std::string RenderShardRequest(const ShardRequest& request);
 
 /// The matching `groupform.shardresponse/1`: OK with the phase's payload
@@ -368,7 +362,10 @@ common::StatusOr<ShardResponse> ParseShardResponseLine(
 std::string RenderShardResponse(const ShardResponse& response);
 
 /// One request, batch, *or* shard line, parsed by schema — the serving
-/// layer's single dispatch point, so both wires accept all shapes.
+/// layer's single dispatch point, so both wires accept all shapes. A
+/// batch is INVALID_ARGUMENT on a malformed envelope, an empty or
+/// oversized requests array, or any malformed element (the error names
+/// the element index); a batch inside a batch is malformed.
 struct AnyRequest {
   bool is_batch = false;
   bool is_shard = false;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <exception>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -31,6 +32,14 @@ Response FailWith(Response response, eval::SweepCellState state,
   response.state = state;
   response.status = std::move(status);
   return response;
+}
+
+/// A failure answered before any response field but the id is set.
+Response FailRequest(const Request& request, eval::SweepCellState state,
+                     Status status) {
+  Response response;
+  response.id = request.id;
+  return FailWith(std::move(response), state, std::move(status));
 }
 
 /// ProblemSpec → FormationProblem knobs, via the shared token mappings
@@ -203,10 +212,8 @@ Response Session::Execute(
     std::chrono::steady_clock::time_point received_at) {
   auto loaded_or = cache_.Get(request.instance);
   if (!loaded_or.ok()) {
-    Response response;
-    response.id = request.id;
-    return FailWith(std::move(response), eval::SweepCellState::kErr,
-                    loaded_or.status());
+    return FailRequest(request, eval::SweepCellState::kErr,
+                       loaded_or.status());
   }
   // The shared_ptrs pin the cache entry for the whole execution.
   const LoadedInstance loaded = *std::move(loaded_or);
@@ -219,10 +226,8 @@ Response Session::ExecuteWithSolver(
     const SolveHook& solve) {
   auto loaded_or = cache_.Get(request.instance);
   if (!loaded_or.ok()) {
-    Response response;
-    response.id = request.id;
-    return FailWith(std::move(response), eval::SweepCellState::kErr,
-                    loaded_or.status());
+    return FailRequest(request, eval::SweepCellState::kErr,
+                       loaded_or.status());
   }
   const LoadedInstance loaded = *std::move(loaded_or);
   return ExecuteLoaded(request, received_at, loaded, &solve);
@@ -571,42 +576,50 @@ Response Session::ExecuteDelta(
   return response;
 }
 
+Response Session::ExecuteOne(
+    const Request& request,
+    std::chrono::steady_clock::time_point received_at, InstancePins* pins) {
+  // Bounds the batch-local pins, so a pathological batch cannot pin an
+  // unbounded working set against the LRU's byte budget.
+  constexpr std::size_t kMaxPinnedInstances = 16;
+  try {
+    if (request.is_delta) return ExecuteDelta(request, received_at);
+    if (pins == nullptr) return Execute(request, received_at);
+    const std::string key = request.instance.CanonicalKey();
+    const auto it = pins->find(key);
+    if (it != pins->end()) {
+      return ExecuteLoaded(request, received_at, it->second);
+    }
+    auto loaded_or = cache_.Get(request.instance);
+    if (!loaded_or.ok()) {
+      return FailRequest(request, eval::SweepCellState::kErr,
+                         loaded_or.status());
+    }
+    LoadedInstance loaded = *std::move(loaded_or);
+    Response response = ExecuteLoaded(request, received_at, loaded);
+    if (pins->size() < kMaxPinnedInstances) {
+      pins->emplace(key, std::move(loaded));
+    }
+    return response;
+  } catch (const std::bad_alloc& error) {
+    return FailRequest(request, eval::SweepCellState::kDnf,
+                       Status::ResourceExhausted(error.what()));
+  } catch (const std::exception& error) {
+    return FailRequest(request, eval::SweepCellState::kErr,
+                       Status::Internal(error.what()));
+  }
+}
+
 BatchResponse Session::ExecuteBatch(
     const BatchRequest& batch,
     std::chrono::steady_clock::time_point received_at) {
   BatchResponse out;
   out.id = batch.id;
   out.responses.reserve(batch.requests.size());
-  // Batch-local pins: one cache round-trip per distinct spec, bounded so
-  // a pathological batch cannot pin an unbounded working set against the
-  // LRU's byte budget.
-  constexpr std::size_t kMaxPinnedInstances = 16;
-  std::unordered_map<std::string, LoadedInstance> pinned;
+  // Batch-local pins: one cache round-trip per distinct spec.
+  InstancePins pins;
   for (const Request& request : batch.requests) {
-    if (request.is_delta) {
-      out.responses.push_back(ExecuteDelta(request, received_at));
-      continue;
-    }
-    const std::string key = request.instance.CanonicalKey();
-    const auto it = pinned.find(key);
-    if (it != pinned.end()) {
-      out.responses.push_back(ExecuteLoaded(request, received_at, it->second));
-      continue;
-    }
-    auto loaded_or = cache_.Get(request.instance);
-    if (!loaded_or.ok()) {
-      Response response;
-      response.id = request.id;
-      out.responses.push_back(FailWith(std::move(response),
-                                       eval::SweepCellState::kErr,
-                                       loaded_or.status()));
-      continue;
-    }
-    LoadedInstance loaded = *std::move(loaded_or);
-    out.responses.push_back(ExecuteLoaded(request, received_at, loaded));
-    if (pinned.size() < kMaxPinnedInstances) {
-      pinned.emplace(key, std::move(loaded));
-    }
+    out.responses.push_back(ExecuteOne(request, received_at, &pins));
   }
   return out;
 }
@@ -692,14 +705,13 @@ std::string Session::HandleLine(
       return RenderBatchResponse(ExecuteBatch(any_or->batch, received_at));
     } else if (any_or->is_shard) {
       return RenderShardResponse(ExecuteShard(any_or->shard));
-    } else if (any_or->request.is_delta) {
-      response = ExecuteDelta(any_or->request, received_at);
     } else {
-      response = Execute(any_or->request, received_at);
+      response = ExecuteOne(any_or->request, received_at, nullptr);
     }
   } catch (const std::exception& error) {
-    // Belt and braces: the library is Status-based, but a response line
-    // must go out for every request line even if something throws.
+    // Belt and braces: requests contain their own throws (ExecuteOne),
+    // but a response line must go out for every request line even if
+    // parsing, a shard, or rendering throws.
     response.state = eval::SweepCellState::kErr;
     response.status = Status::Internal(error.what());
   }

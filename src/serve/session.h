@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 
 #include "common/status.h"
 #include "core/formation.h"
@@ -122,6 +123,18 @@ class Session : public LineHandler {
                          std::chrono::steady_clock::time_point received_at,
                          const LoadedInstance& loaded,
                          const SolveHook* solve = nullptr);
+
+  /// Batch-local instance pins, keyed by InstanceSpec::CanonicalKey().
+  using InstancePins = std::unordered_map<std::string, LoadedInstance>;
+
+  /// One request line's or one batch element's answer, delta or fresh; a
+  /// fresh instance resolves through `pins` when given (batch execution).
+  /// A throw answers this request alone and keeps its id:
+  /// std::bad_alloc is DNF/RESOURCE_EXHAUSTED, the rule for a solver's own
+  /// budget, and any other exception is ERR/INTERNAL.
+  Response ExecuteOne(const Request& request,
+                      std::chrono::steady_clock::time_point received_at,
+                      InstancePins* pins);
 
   const SessionConfig config_;
   InstanceCache cache_;

@@ -1,9 +1,7 @@
-// End-to-end pipeline: generate sparse data -> train a predictor ->
-// densify -> snapshot to disk -> reload -> form groups (several solvers)
-// -> evaluate -> expand with overlaps. Exercises the seams between the
-// modules rather than any one module.
-#include <cstdio>
-
+// End-to-end pipeline: generate sparse data -> form groups (several
+// solvers) directly on the sparse matrix -> evaluate -> expand with
+// overlaps. Exercises the seams between the modules rather than any one
+// module.
 #include <gtest/gtest.h>
 
 #include "baseline/cluster_baseline.h"
@@ -11,18 +9,15 @@
 #include "core/greedy.h"
 #include "core/incremental.h"
 #include "core/overlap.h"
-#include "data/binary_io.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "eval/weighted_objective.h"
 #include "exact/local_search.h"
-#include "recsys/matrix_factorization.h"
-#include "recsys/predictor.h"
 
 namespace groupform {
 namespace {
 
-TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
+TEST(Pipeline, SparseToFormedToEvaluated) {
   // 1. Sparse explicit feedback.
   auto config = data::YahooMusicLikeConfig(400, 120, /*seed=*/606);
   config.min_ratings_per_user = 10;
@@ -30,34 +25,19 @@ TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
   const auto sparse = data::GenerateLatentFactor(config);
   ASSERT_LT(sparse.Density(), 0.3);
 
-  // 2. Train MF, densify the popular head with predictions.
-  recsys::MfPredictor::Options mf_options;
-  mf_options.num_epochs = 10;
-  const recsys::MfPredictor predictor(sparse, mf_options);
-  const auto dense = recsys::DensifyWithPredictions(sparse, predictor, 40);
-  ASSERT_GT(dense.num_ratings(), sparse.num_ratings());
-
-  // 3. Snapshot to disk and reload; formation must be identical on both.
-  const std::string path = testing::TempDir() + "/pipeline.gfrm";
-  ASSERT_TRUE(data::SaveMatrixBinary(dense, path).ok());
-  const auto reloaded = data::LoadMatrixBinary(path);
-  ASSERT_TRUE(reloaded.ok());
-  std::remove(path.c_str());
-
+  // 2. Form groups on the sparse matrix itself: unrated items score the
+  // scale minimum (the default missing-rating policy, DESIGN.md §3) in
+  // place of the paper's predicted ratings.
   core::FormationProblem problem;
-  problem.matrix = &dense;
+  problem.matrix = &sparse;
   problem.semantics = grouprec::Semantics::kLeastMisery;
   problem.aggregation = grouprec::Aggregation::kMax;
   problem.k = 5;
   problem.max_groups = 12;
-  core::FormationProblem reloaded_problem = problem;
-  reloaded_problem.matrix = &*reloaded;
+  ASSERT_EQ(problem.missing, grouprec::MissingRatingPolicy::kScaleMin);
 
   const auto formed = core::RunGreedy(problem);
-  const auto formed_reloaded = core::RunGreedy(reloaded_problem);
   ASSERT_TRUE(formed.ok());
-  ASSERT_TRUE(formed_reloaded.ok());
-  EXPECT_DOUBLE_EQ(formed->objective, formed_reloaded->objective);
 
   // 4. The solution validates, and the solver ladder behaves.
   EXPECT_TRUE(core::ValidatePartition(problem, *formed).ok());
@@ -71,7 +51,7 @@ TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
   // 5. Metrics are finite and consistent.
   EXPECT_GT(eval::AvgGroupSatisfaction(problem, *formed), 0.0);
   EXPECT_GT(eval::MeanPerUserSatisfaction(problem, *formed),
-            dense.scale().min - 1e-9);
+            sparse.scale().min - 1e-9);
   const double ndcg = eval::MeanUserNdcg(problem, *formed);
   EXPECT_GT(ndcg, 0.0);
   EXPECT_LE(ndcg, 1.0 + 1e-9);

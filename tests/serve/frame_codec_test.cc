@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/protocol.h"
@@ -30,6 +31,16 @@ Request SmallRequest(const std::string& id) {
   request.problem.k = 2;
   request.problem.groups = 3;
   return request;
+}
+
+/// A batch line through the serving layer's one parse entry point; a
+/// line that parses as anything but a batch is an error here.
+common::StatusOr<BatchRequest> ParseBatch(const std::string& line) {
+  GF_ASSIGN_OR_RETURN(AnyRequest any, ParseAnyRequestLine(line));
+  if (!any.is_batch) {
+    return common::Status::InvalidArgument("not a batch line");
+  }
+  return std::move(any.batch);
 }
 
 TEST(FrameCodec, EncodeDecodeRoundTripsEveryType) {
@@ -169,7 +180,7 @@ TEST(BatchEnvelope, RenderParseIsTheIdentity) {
                           0.0});
   batch.requests.push_back(delta);
   const std::string line = RenderBatchRequest(batch);
-  const auto parsed = ParseBatchRequestLine(line);
+  const auto parsed = ParseBatch(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->id, "b-1");
   ASSERT_EQ(parsed->requests.size(), 2u);
@@ -183,7 +194,7 @@ TEST(BatchEnvelope, RenderParseIsTheIdentity) {
 
 TEST(BatchEnvelope, RejectsEmptyNestedAndOversizedBatches) {
   EXPECT_FALSE(
-      ParseBatchRequestLine(
+      ParseBatch(
           "{\"schema\":\"groupform.batch/1\",\"id\":\"\",\"requests\":[]}")
           .ok());
   // A nested batch fails the element schema check, with the element
@@ -193,7 +204,7 @@ TEST(BatchEnvelope, RejectsEmptyNestedAndOversizedBatches) {
   const std::string nested =
       "{\"schema\":\"groupform.batch/1\",\"id\":\"\",\"requests\":[" +
       RenderBatchRequest(inner) + "]}";
-  const auto nested_or = ParseBatchRequestLine(nested);
+  const auto nested_or = ParseBatch(nested);
   ASSERT_FALSE(nested_or.ok());
   EXPECT_NE(nested_or.status().message().find("requests[0]"),
             std::string::npos);
@@ -206,7 +217,7 @@ TEST(BatchEnvelope, RejectsEmptyNestedAndOversizedBatches) {
     big += element;
   }
   big += "]}";
-  const auto big_or = ParseBatchRequestLine(big);
+  const auto big_or = ParseBatch(big);
   ASSERT_FALSE(big_or.ok());
   EXPECT_NE(big_or.status().message().find("batch limit"),
             std::string::npos);
@@ -274,7 +285,7 @@ TEST(BatchEnvelope, RequestSpliceRoundTripsThroughTheParser) {
   ASSERT_EQ(split->size(), 3u);
   EXPECT_EQ((*split)[1], RenderRequest(batch.requests[1]));
   const std::vector<std::string> subset = {(*split)[2], (*split)[0]};
-  const auto sub = ParseBatchRequestLine(
+  const auto sub = ParseBatch(
       RenderBatchRequestFromDocs(batch.id, subset));
   ASSERT_TRUE(sub.ok()) << sub.status();
   ASSERT_EQ(sub->requests.size(), 2u);

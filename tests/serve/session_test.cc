@@ -1,8 +1,8 @@
 // Session execution semantics (DESIGN.md §12.2): OK requests match the
 // in-process eval path, unknown solvers are ERR(NOT_FOUND), bad options
 // are ERR(INVALID_ARGUMENT) via the factories' strict validation, caps
-// and expired deadlines are DNF, and parse failures still produce a
-// response line.
+// and expired deadlines are DNF, parse failures still produce a response
+// line, and a solve that throws answers its own request alone.
 #include "serve/session.h"
 
 #include <gtest/gtest.h>
@@ -10,11 +10,16 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "core/solver.h"
+#include "core/solver_registry.h"
 #include "eval/experiment.h"
 #include "serve/instance_cache.h"
 #include "serve/protocol.h"
@@ -273,6 +278,96 @@ TEST_F(SessionTest, IntMaxKAnswersTheBytesOfTheCatalogueSizedK) {
         EXPECT_EQ(b, a);
       }
     }
+  }
+}
+
+/// A solver whose Solve throws, standing in for an allocation failure
+/// (std::bad_alloc) or a library bug (std::runtime_error) deep inside a
+/// solve.
+class ThrowingSolver : public core::FormationSolver {
+ public:
+  explicit ThrowingSolver(bool out_of_memory)
+      : out_of_memory_(out_of_memory) {}
+  common::StatusOr<core::FormationResult> Solve(
+      std::uint64_t) const override {
+    if (out_of_memory_) throw std::bad_alloc();
+    throw std::runtime_error("solver blew up");
+  }
+  std::string name() const override { return "throwing"; }
+  std::string description() const override { return "test-only thrower"; }
+
+ private:
+  bool out_of_memory_;
+};
+
+/// Registers a ThrowingSolver as `name` for one test's scope.
+class ScopedThrowingSolver {
+ public:
+  ScopedThrowingSolver(std::string name, bool out_of_memory)
+      : name_(std::move(name)) {
+    const auto status = core::SolverRegistry::Global().Register(
+        name_, "test-only thrower",
+        [out_of_memory](const core::FormationProblem&,
+                        const core::SolverOptions&) {
+          return common::StatusOr<std::unique_ptr<core::FormationSolver>>(
+              std::make_unique<ThrowingSolver>(out_of_memory));
+        });
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  ~ScopedThrowingSolver() { core::SolverRegistry::Global().Unregister(name_); }
+
+ private:
+  std::string name_;
+};
+
+TEST_F(SessionTest, ASolveThatThrowsAnswersItsOwnRequestAlone) {
+  const ScopedThrowingSolver oom("test-throws-bad-alloc",
+                                 /*out_of_memory=*/true);
+  const ScopedThrowingSolver bug("test-throws-error",
+                                 /*out_of_memory=*/false);
+  struct Case {
+    const char* solver;
+    eval::SweepCellState state;
+    common::StatusCode code;
+  };
+  for (const Case& c :
+       {Case{"test-throws-bad-alloc", eval::SweepCellState::kDnf,
+             common::StatusCode::kResourceExhausted},
+        Case{"test-throws-error", eval::SweepCellState::kErr,
+             common::StatusCode::kInternal}}) {
+    SCOPED_TRACE(c.solver);
+    Session session;
+
+    // A lone request keeps its id.
+    Request lone = TestRequest(c.solver);
+    lone.id = "lone";
+    const auto alone =
+        ParseResponseLine(session.HandleLine(RenderRequest(lone)));
+    ASSERT_TRUE(alone.ok()) << alone.status();
+    EXPECT_EQ(alone->id, "lone");
+    EXPECT_EQ(alone->state, c.state);
+    EXPECT_EQ(alone->status.code(), c.code);
+
+    // A throwing middle element leaves one batchresponse of three, whose
+    // outer elements are byte-identical to their solo answers.
+    BatchRequest batch;
+    batch.id = "b";
+    batch.requests = {TestRequest("greedy"), TestRequest(c.solver),
+                      TestRequest("localsearch")};
+    batch.requests[0].id = "first";
+    batch.requests[1].id = "middle";
+    batch.requests[2].id = "last";
+    const std::string line = session.HandleLine(RenderBatchRequest(batch));
+    const auto docs = SplitBatchResponseDocs(line);
+    ASSERT_TRUE(docs.ok()) << line;
+    ASSERT_EQ(docs->size(), 3u) << line;
+    EXPECT_EQ((*docs)[0], session.HandleLine(RenderRequest(batch.requests[0])));
+    EXPECT_EQ((*docs)[2], session.HandleLine(RenderRequest(batch.requests[2])));
+    const auto middle = ParseResponseLine((*docs)[1]);
+    ASSERT_TRUE(middle.ok()) << middle.status();
+    EXPECT_EQ(middle->id, "middle");
+    EXPECT_EQ(middle->state, c.state);
+    EXPECT_EQ(middle->status.code(), c.code);
   }
 }
 
